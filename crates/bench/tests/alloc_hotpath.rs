@@ -1,10 +1,11 @@
 //! Allocation micro-bench for the ingest hot path.
 //!
-//! The wire-speed insert path — sign cache, reusable sign buffer, top-k
-//! estimate scratch — is designed to touch the allocator zero times per
-//! element once warm.  This test pins that property with a counting
+//! The wire-speed insert path — sign cache, top-k estimate scratch — and
+//! the server's batch pipeline around it (enumeration arena, value
+//! buffers, summary observation) are designed to touch the allocator
+//! zero times once warm.  These tests pin that property with a counting
 //! global allocator: a warm-up pass grows every reusable buffer, then a
-//! measured pass over the *same* value stream must allocate nothing.
+//! measured pass over the *same* stream must allocate nothing.
 //!
 //! Ignored by default (`cargo test -p sketchtree-bench -- --ignored`):
 //! the global allocator hook taxes every other test in the binary, so it
@@ -90,7 +91,7 @@ fn slab_insert_path_allocates_zero_bytes_after_warmup() {
 
     let mut syn = StreamSynopsis::new(SynopsisConfig::default());
     let vals = workload();
-    // Warm-up: grows the sign buffer, the top-k heaps and their hash
+    // Warm-up: grows the sign cache, the top-k heaps and their hash
     // indexes, and the estimate scratch to steady-state capacity.
     for &v in &vals {
         syn.insert(v);
@@ -107,5 +108,41 @@ fn slab_insert_path_allocates_zero_bytes_after_warmup() {
         (0, 0),
         "slab insert path allocated {bytes} bytes in {calls} calls over {} elements",
         vals.len()
+    );
+}
+
+#[test]
+#[ignore = "alloc-counting micro-bench; run with -- --ignored"]
+fn shared_batch_ingest_allocates_nothing_after_warmup() {
+    use sketchtree_core::{SharedSketchTree, SketchTree, SketchTreeConfig};
+    use sketchtree_datagen::{Dataset, StreamSpec};
+
+    // The server's path: prebuilt trees in batches of 8 through
+    // `SharedSketchTree::ingest_batch` (enumerate under the shared lock,
+    // apply under the exclusive lock), summary on, default geometry.
+    let mut st = SketchTree::new(SketchTreeConfig::default());
+    let trees = StreamSpec {
+        dataset: Dataset::Dblp,
+        n_trees: 400,
+        seed: 11,
+    }
+    .generate(st.labels_mut());
+    let shared = SharedSketchTree::new(st);
+    let pass = || {
+        for batch in trees.chunks(8) {
+            shared.ingest_batch(batch);
+        }
+    };
+    // Two warm-up passes: the first grows the enumeration arena, the
+    // value buffers and the scratch pool; the second lets the top-k
+    // trackers settle on the stream's heavy hitters.
+    pass();
+    pass();
+    let (bytes, calls) = count_allocations(pass);
+    assert_eq!(
+        (bytes, calls),
+        (0, 0),
+        "batch ingest allocated {bytes} bytes in {calls} calls over {} trees",
+        trees.len()
     );
 }

@@ -42,10 +42,6 @@
 //!                             lose up to N-1 acked batches; 0 = never,
 //!                             benchmarking only)
 //!     --workers N             worker threads (default 4)
-//!     --ingest-threads N      parallel ingest pipeline width (default:
-//!                             SKETCHTREE_INGEST_THREADS, else the CPU
-//!                             count; the synopsis is bit-identical at
-//!                             every setting)
 //!     --metrics-port N        serve HTTP /metrics + /healthz on 0.0.0.0:N
 //!                             (0 picks an ephemeral port; omit to disable)
 //!     plus the ingest sketch flags (--k, --s1, ... ) for a fresh synopsis
@@ -126,7 +122,7 @@ fn usage() -> String {
      sketchtree heavy <snapshot> [--limit N]\n  \
      sketchtree merge <a.snap> <b.snap>... -o <out.snap>\n  \
      sketchtree serve <addr> [--snapshot PATH] [--checkpoint-secs N] [--wal-path PATH] \
-     [--wal-fsync-every N] [--workers N] [--ingest-threads N] [--metrics-port N] \
+     [--wal-fsync-every N] [--workers N] [--metrics-port N] \
      [sketch flags as for ingest]\n  \
      sketchtree wal-dump <wal-file>\n  \
      sketchtree remote-ingest <addr> <file.xml>|- [--batch N]\n  \
@@ -455,9 +451,6 @@ fn serve(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
     let wal_fsync_every: u32 = parse_flag(args, "--wal-fsync-every", 1u32)?;
     let config = ServerConfig {
         workers: parse_flag(args, "--workers", 4usize)?,
-        // 0 (the default) = SKETCHTREE_INGEST_THREADS or available
-        // parallelism; the synopsis is bit-identical at every setting.
-        ingest_threads: parse_flag(args, "--ingest-threads", 0usize)?,
         checkpoint_path: (!checkpoint_path.is_empty()).then(|| checkpoint_path.clone().into()),
         checkpoint_interval: (checkpoint_secs > 0)
             .then(|| std::time::Duration::from_secs(checkpoint_secs)),

@@ -9,17 +9,25 @@
 //! counters and top-k state), queries take the read lock and can proceed
 //! concurrently with each other.
 //!
-//! For multi-producer pipelines, parse/enumerate *outside* the lock and
-//! only hold it for the sketch updates: [`SharedSketchTree::ingest`] does
-//! exactly that ordering internally (enumeration needs no lock only if the
-//! tree is already built — building trees is the caller's, lock-free,
-//! side).
+//! Ingest keeps the exclusive lock short: [`SharedSketchTree::ingest_batch`]
+//! enumerates pattern values under the *shared* lock (concurrent with
+//! queries and other producers) and takes the exclusive lock only to
+//! [`SketchTree::apply`] them.  Building the trees is the caller's,
+//! lock-free, side.
 
-use crate::parallel::IngestOptions;
-use crate::sketchtree::{CountExpr, SketchTree, SketchTreeError};
-use parking_lot::RwLock;
+use crate::sketchtree::{CountExpr, EnumScratch, SketchTree, SketchTreeError};
+use parking_lot::{Mutex, RwLock};
 use sketchtree_tree::Tree;
 use std::sync::Arc;
+
+/// Trees per lock window in [`SharedSketchTree::ingest_batch`].  Bounds
+/// how long one batch holds the synopsis lock, so checkpoint writers and
+/// queries interleave with large batches instead of waiting them out.
+const LOCK_WINDOW_TREES: usize = 64;
+
+/// One caller's reusable [`SharedSketchTree::ingest_batch`] buffers: the
+/// enumeration scratch and the current window's pattern values.
+type BatchBuffers = (EnumScratch, Vec<u64>);
 
 /// A callback invoked (under the shared read lock) after every batch
 /// ingest and merge completes — the hook point standing-query evaluators
@@ -35,26 +43,21 @@ pub struct SharedSketchTree {
     /// under a short lock before invocation so a slow hook never blocks
     /// hook registration.
     hooks: Arc<RwLock<Vec<Arc<BatchHook>>>>,
-    opts: IngestOptions,
+    /// Enumeration buffers for [`SharedSketchTree::ingest_batch`], one per
+    /// concurrent caller: a batch pops one (or starts a fresh one), and
+    /// returns it warm, so steady-state batches allocate nothing.  The
+    /// mutex is held only for the pop and the push, never across the
+    /// synopsis lock.
+    scratch: Arc<Mutex<Vec<BatchBuffers>>>,
 }
 
 impl SharedSketchTree {
-    /// Wraps a synopsis for shared use with default ingest options
-    /// (thread count from `SKETCHTREE_INGEST_THREADS` or the machine's
-    /// available parallelism).
+    /// Wraps a synopsis for shared use.
     pub fn new(st: SketchTree) -> Self {
-        Self::with_options(st, IngestOptions::default())
-    }
-
-    /// Wraps a synopsis with explicit parallel-ingest geometry.
-    pub fn with_options(st: SketchTree, opts: IngestOptions) -> Self {
         Self {
             inner: Arc::new(RwLock::new(st)),
             hooks: Arc::new(RwLock::new(Vec::new())),
-            opts: IngestOptions {
-                threads: opts.threads.max(1),
-                chunk_size: opts.chunk_size.max(1),
-            },
+            scratch: Arc::new(Mutex::new(Vec::new())),
         }
     }
 
@@ -80,12 +83,7 @@ impl SharedSketchTree {
         }
     }
 
-    /// The ingest geometry this handle applies to batches.
-    pub fn ingest_options(&self) -> IngestOptions {
-        self.opts
-    }
-
-    /// Ingests one tree (exclusive lock for the sketch updates).
+    /// Ingests one tree (exclusive lock for the whole ingest).
     ///
     /// The tree must have been built against this synopsis' label table —
     /// use [`SharedSketchTree::with_labels`] to intern labels first.
@@ -93,37 +91,44 @@ impl SharedSketchTree {
         self.inner.write().ingest(tree);
     }
 
-    /// Ingests a batch of trees through the parallel pipeline.
+    /// Ingests a batch of trees in lock windows of 64 trees.
     ///
-    /// The batch is processed in [`IngestOptions::chunk_size`] windows.
     /// Per window, the expensive half of Algorithm 1 — pattern
-    /// enumeration, Prüfer encoding and fingerprint mapping — fans out
-    /// across [`IngestOptions::threads`] workers under the *shared* lock
-    /// (concurrent with queries and other producers), then the sketch
-    /// insertions run sharded by virtual-stream partition under the
-    /// exclusive lock.  Bounding each lock window means a checkpoint
-    /// writer or query interleaves between windows instead of waiting
-    /// out the whole batch.
+    /// enumeration, Prüfer encoding and fingerprint mapping — runs on the
+    /// calling thread under the *shared* lock (concurrent with queries and
+    /// other producers); then [`SketchTree::apply`] inserts the window's
+    /// values under the exclusive lock.  Keeping enumeration out of the
+    /// exclusive window keeps it short, so queries wait less behind
+    /// ingest, and bounding each window means a checkpoint writer or query
+    /// interleaves between windows instead of waiting out the whole batch.
     ///
     /// The resulting synopsis state is bit-identical to calling
-    /// [`SharedSketchTree::ingest`] on each tree in order, at every
-    /// thread count and chunk size (when no other writer interleaves).
+    /// [`SharedSketchTree::ingest`] on each tree in order (when no other
+    /// writer interleaves).  After warm-up a batch allocates nothing.
     ///
     /// Returns `(trees, pattern instances)` added by this batch.
     pub fn ingest_batch(&self, trees: &[Tree]) -> (u64, u64) {
+        let (mut scratch, mut values) = self.take_scratch();
         let mut patterns = 0u64;
-        for window in trees.chunks(self.opts.chunk_size.max(1)) {
-            let values: Vec<Vec<u64>> = {
-                let guard = self.inner.read();
-                guard.enumerate_values_batch(window, self.opts)
-            };
-            patterns += values.iter().map(|v| v.len() as u64).sum::<u64>();
-            // lint:allow(L4, reason = "the read guard above is scoped to its own block and dropped before this write; the lexical pass cannot see the block boundary")
-            let mut guard = self.inner.write();
-            guard.ingest_precomputed_batch(window, &values, self.opts);
+        for window in trees.chunks(LOCK_WINDOW_TREES) {
+            values.clear();
+            self.read(|st| {
+                for t in window {
+                    st.enumerate_values_into(t, &mut scratch, &mut values);
+                }
+            });
+            patterns += values.len() as u64;
+            self.inner.write().apply(window, &values);
         }
+        self.scratch.lock().push((scratch, values));
         self.run_batch_hooks();
         (trees.len() as u64, patterns)
+    }
+
+    /// Pops a warm set of batch buffers from the pool, or starts a fresh
+    /// one when every set is in use by another batch.
+    fn take_scratch(&self) -> BatchBuffers {
+        self.scratch.lock().pop().unwrap_or_default()
     }
 
     /// Attaches instrumentation to the wrapped synopsis (see
@@ -402,27 +407,21 @@ mod tests {
 
     #[test]
     fn checkpoint_completes_while_batch_is_mid_ingest() {
-        // chunk_size 1 bounds every lock window to one tree, so a
-        // checkpoint (a read-side snapshot, exactly what the server's
-        // periodic writer does) gets the lock between windows instead of
-        // waiting out the whole batch.
-        let st = SharedSketchTree::with_options(
-            SketchTree::new(SketchTreeConfig {
-                max_pattern_edges: 3,
-                synopsis: SynopsisConfig {
-                    s1: 30,
-                    s2: 5,
-                    virtual_streams: 7,
-                    topk: 4,
-                    ..SynopsisConfig::default()
-                },
-                ..SketchTreeConfig::default()
-            }),
-            crate::parallel::IngestOptions {
-                threads: 2,
-                chunk_size: 1,
+        // Lock windows bound every exclusive hold to LOCK_WINDOW_TREES
+        // trees, so a checkpoint (a read-side snapshot, exactly what the
+        // server's periodic writer does) gets the lock between windows
+        // instead of waiting out the whole batch.
+        let st = SharedSketchTree::new(SketchTree::new(SketchTreeConfig {
+            max_pattern_edges: 3,
+            synopsis: SynopsisConfig {
+                s1: 30,
+                s2: 5,
+                virtual_streams: 7,
+                topk: 4,
+                ..SynopsisConfig::default()
             },
-        );
+            ..SketchTreeConfig::default()
+        }));
         let (a, b, c) = st.with_labels(|l| (l.intern("A"), l.intern("B"), l.intern("C")));
         // Trees bushy enough that enumerating 1500 of them spans many
         // scheduler quanta even on one core.
@@ -457,24 +456,26 @@ mod tests {
         assert_eq!(trees, n);
         let bytes = mid_snapshot
             .expect("never saw the batch mid-ingest: lock windows are not bounded");
-        // The mid-batch checkpoint is a valid snapshot of a strict prefix.
+        // The mid-batch checkpoint is a valid snapshot of a strict prefix
+        // that ends on a window boundary.
         let restored = crate::snapshot::read_snapshot(&bytes).expect("snapshot readable");
         assert!(restored.trees_processed() > 0);
         assert!(restored.trees_processed() < n);
+        assert_eq!(restored.trees_processed() % LOCK_WINDOW_TREES as u64, 0);
     }
 
     proptest::proptest! {
-        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
-        /// The tentpole guarantee, end to end through the snapshot
-        /// encoder: batch ingest at 1, 2 and 8 threads (and whatever
-        /// SKETCHTREE_INGEST_THREADS / available parallelism selects as
-        /// the default) produces snapshots *byte-identical* to sequential
-        /// per-tree ingest — including with probabilistic top-k sampling,
-        /// where per-partition RNG state is the subtle cross-thread
-        /// hazard.
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(8))]
+        /// Batch parity, end to end through the snapshot encoder: a stream
+        /// cut into random batches (some spanning several lock windows)
+        /// and fed through `ingest_batch` produces a snapshot
+        /// *byte-identical* to per-tree `ingest` — with top-k run on every
+        /// value and with top-k sampled, where the per-partition RNG draw
+        /// order is the subtle hazard.
         #[test]
-        fn snapshot_parity_across_thread_counts(
-            shapes in proptest::prop::collection::vec(arb_tree(), 1..24),
+        fn batch_parity_across_random_splits(
+            trees in proptest::prop::collection::vec(arb_tree(), 1..160),
+            cuts in proptest::prop::collection::vec(0usize..160, 0..6),
             topk_probability in proptest::prop_oneof![
                 proptest::prelude::Just(u16::MAX),
                 proptest::prelude::Just(u16::MAX / 3),
@@ -499,31 +500,29 @@ mod tests {
                 }
                 st
             };
-            let trees: Vec<Tree> = shapes;
             let mut sequential = build();
             for t in &trees {
                 sequential.ingest(t);
             }
             let expected = crate::snapshot::write_snapshot(&sequential);
-            let thread_counts = [1usize, 2, 8, crate::parallel::default_ingest_threads()];
-            for &threads in &thread_counts {
-                let shared = SharedSketchTree::with_options(
-                    build(),
-                    crate::parallel::IngestOptions {
-                        threads,
-                        chunk_size: 3,
-                    },
-                );
-                shared.ingest_batch(&trees);
-                let got = shared.read(crate::snapshot::write_snapshot);
-                proptest::prop_assert!(
-                    got == expected,
-                    "snapshot diverged at {threads} ingest threads \
-                     ({} vs {} bytes)",
-                    got.len(),
-                    expected.len()
-                );
+
+            let mut bounds: Vec<usize> = cuts.iter().map(|&c| c.min(trees.len())).collect();
+            bounds.push(0);
+            bounds.push(trees.len());
+            bounds.sort_unstable();
+            bounds.dedup();
+            let shared = SharedSketchTree::new(build());
+            for w in bounds.windows(2) {
+                shared.ingest_batch(&trees[w[0]..w[1]]);
             }
+            let got = shared.read(crate::snapshot::write_snapshot);
+            proptest::prop_assert!(
+                got == expected,
+                "snapshot diverged for batch bounds {:?} ({} vs {} bytes)",
+                bounds,
+                got.len(),
+                expected.len()
+            );
         }
     }
 

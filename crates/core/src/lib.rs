@@ -30,9 +30,6 @@
 //! * [`bounds`] — Theorem 1 error profiles attached to estimates;
 //! * [`concurrent`] — [`concurrent::SharedSketchTree`], a thread-safe
 //!   handle for multi-reader / writer deployments;
-//! * [`parallel`] — the std-only worker pool behind batch ingest:
-//!   enumeration fan-out plus partition-sharded sketch insertion,
-//!   bit-identical to sequential ingest at every thread count;
 //! * [`snapshot`] — versioned binary persistence of a synopsis across
 //!   restarts;
 //! * [`window`] — [`window::WindowedSketchTree`], exact sliding-window
@@ -49,7 +46,6 @@ pub mod exact;
 pub mod exprparse;
 pub mod mapping;
 pub mod metrics;
-pub mod parallel;
 pub mod large;
 pub mod markov;
 pub mod query;
@@ -66,7 +62,6 @@ pub use exact::ExactCounter;
 pub use exprparse::parse_expr;
 pub use mapping::Mapper;
 pub use metrics::{CoreMetrics, SketchHealth};
-pub use parallel::{default_ingest_threads, IngestOptions};
 pub use large::decompose as decompose_pattern;
 pub use markov::MarkovPathTable;
 pub use query::{parse_pattern, QueryError, QueryPattern};

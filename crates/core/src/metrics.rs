@@ -13,7 +13,7 @@
 //! turns into gauges.  See `docs/observability.md` for how each field maps
 //! onto the paper's Theorem 1/2 error bounds.
 
-use sketchtree_metrics::{Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS};
+use sketchtree_metrics::{Counter, Histogram, Registry, LATENCY_BUCKETS};
 use std::sync::Arc;
 
 /// Pre-registered metric handles for the core pipeline.
@@ -33,24 +33,13 @@ pub struct CoreMetrics {
     /// enumeration, Prüfer encoding, fingerprint mapping and sketch update
     /// in one measurement (`sketchtree_ingest_seconds`).
     pub ingest_seconds: Arc<Histogram>,
-    /// Seconds per [`crate::SketchTree::enumerate_values`] call — the
-    /// read-only enumerate/encode/map half of Algorithm 1
-    /// (`sketchtree_enumerate_seconds`).
+    /// Seconds per [`crate::SketchTree::enumerate_values_into`] call —
+    /// the read-only enumerate/encode/map half of Algorithm 1 for one
+    /// tree (`sketchtree_enumerate_seconds`).
     pub enumerate_seconds: Arc<Histogram>,
-    /// Seconds per [`crate::SketchTree::ingest_precomputed`] call — the
-    /// sketch-update half (`sketchtree_sketch_insert_seconds`).
+    /// Seconds per [`crate::SketchTree::apply`] call — the sketch-update
+    /// half (`sketchtree_sketch_insert_seconds`).
     pub insert_seconds: Arc<Histogram>,
-    /// Seconds each virtual-stream shard spent applying its partition's
-    /// value queue during a sharded batch insert
-    /// (`sketchtree_shard_insert_seconds`).  One observation per non-empty
-    /// shard per batch; a long tail here means a hot partition is
-    /// bounding batch latency (routing is `value mod p`, so a skewed
-    /// pattern population lands on one shard).
-    pub shard_insert_seconds: Arc<Histogram>,
-    /// Trees awaiting enumeration in the current batch
-    /// (`sketchtree_ingest_queue_depth`) — the worker pool's unclaimed
-    /// backlog, zero when idle.
-    pub ingest_queue_depth: Arc<Gauge>,
     /// Ordered-count queries (`sketchtree_query_total{kind="ordered"}`).
     pub query_ordered: Arc<Counter>,
     /// Unordered-count queries (`sketchtree_query_total{kind="unordered"}`).
@@ -107,22 +96,13 @@ impl CoreMetrics {
             ),
             enumerate_seconds: registry.histogram(
                 "sketchtree_enumerate_seconds",
-                "Seconds per enumerate_values call (read-only half of Algorithm 1)",
+                "Seconds per tree enumeration (read-only half of Algorithm 1)",
                 LATENCY_BUCKETS,
             ),
             insert_seconds: registry.histogram(
                 "sketchtree_sketch_insert_seconds",
-                "Seconds per precomputed-value sketch insertion (write half of Algorithm 1)",
+                "Seconds per apply of enumerated values to the sketch (write half of Algorithm 1)",
                 LATENCY_BUCKETS,
-            ),
-            shard_insert_seconds: registry.histogram(
-                "sketchtree_shard_insert_seconds",
-                "Seconds per virtual-stream shard applying its partition queue in a sharded batch",
-                LATENCY_BUCKETS,
-            ),
-            ingest_queue_depth: registry.gauge(
-                "sketchtree_ingest_queue_depth",
-                "Trees awaiting enumeration in the current ingest batch",
             ),
             query_ordered: query_total("ordered"),
             query_unordered: query_total("unordered"),

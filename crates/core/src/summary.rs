@@ -15,7 +15,7 @@
 //! exactly the kind of "limited space" structure the paper anticipates.
 
 use crate::query::{EdgeKind, QueryLabel, QueryNode, QueryPattern};
-use sketchtree_tree::{Label, LabelTable, Tree};
+use sketchtree_tree::{Label, LabelTable, NodeId, Tree};
 use std::collections::{HashMap, HashSet};
 use std::fmt;
 
@@ -81,7 +81,10 @@ impl StructuralSummary {
 
     /// Folds one tree into the summary.
     pub fn observe(&mut self, tree: &Tree) {
-        for id in tree.preorder() {
+        // Set semantics make visiting order irrelevant, so walk node ids
+        // directly instead of materialising a traversal (ingest calls
+        // this per tree and must not allocate once warm).
+        for id in (0..tree.len()).map(|i| NodeId(i as u32)) {
             let l = tree.label(id);
             if self.labels.insert(l) {
                 self.version += 1;

@@ -50,7 +50,6 @@ const UPDATE_FNS: &[&str] = &[
     "insert_routed",
     "signs",
     "fill_signs_reduced",
-    "apply_with_signs",
     "untrack",
 ];
 

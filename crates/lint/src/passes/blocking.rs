@@ -55,7 +55,6 @@ pub struct BlockingUnderLock;
 fn in_scope(rel: &str) -> bool {
     rel.starts_with("crates/server/src/")
         || rel == "crates/core/src/concurrent.rs"
-        || rel == "crates/core/src/parallel.rs"
         || rel.starts_with("crates/standing/src/")
         || rel.starts_with("crates/metrics/src/")
 }

@@ -19,7 +19,7 @@
 //!   `BTreeMap`/`BTreeSet` in the same body).
 //!
 //! The mutator-name tables are deliberately split: sketch-specific names
-//! (`ingest_precomputed`, `merge_from`, `note_inserted`, …) count
+//! (`apply`, `merge_from`, `insert_routed`, …) count
 //! anywhere in scope, while generic names (`insert`, `record`,
 //! `observe`, `delete`) count only inside `&mut self` methods — a
 //! read-only query path inserting into a local scratch map is not a
@@ -31,14 +31,10 @@ use crate::lexer::TokenKind;
 /// Mutator names that always denote sketch-state mutation in scope.
 const SPECIFIC_MUTATORS: &[&str] = &[
     "ingest",
-    "ingest_with",
-    "ingest_precomputed",
-    "ingest_precomputed_batch",
+    "apply",
     "insert_routed",
-    "apply_with_signs",
     "merge_from",
     "merge_remapped",
-    "note_inserted",
     "merge",
     "ingest_batch",
 ];
@@ -93,7 +89,7 @@ impl EpochDiscipline {
         // body does, or if *any* candidate definition of any callee
         // does.  Candidate matching is permissive on purpose — a
         // delegation chain (`Shared::ingest` → `SketchTree::ingest` →
-        // `ingest_with` which bumps) must never false-positive just
+        // `apply` which bumps) must never false-positive just
         // because one hop is ambiguous.
         let mut bumps: Vec<bool> = ws.index.fns.iter().map(|f| f.bumps_epoch).collect();
         loop {
@@ -241,10 +237,10 @@ mod tests {
     fn bump_via_callee_satisfies() {
         let out = run(&[(
             "crates/core/src/concurrent.rs",
-            "impl Shared { fn batch(&self, t: &[Tree]) { self.inner.write().ingest_precomputed_batch(t); } }",
+            "impl Shared { fn batch(&self, t: &[Tree], v: &[u64]) { self.inner.write().apply(t, v); } }",
         ), (
             "crates/core/src/sketchtree.rs",
-            "impl SketchTree { fn ingest_precomputed_batch(&mut self, t: &[Tree]) { self.synopsis.note_inserted(1); self.epoch += 1; } }",
+            "impl SketchTree { fn apply(&mut self, t: &[Tree], v: &[u64]) { self.synopsis.insert_routed(v); self.epoch += 1; } }",
         )]);
         assert!(out.is_empty(), "{out:?}");
     }
@@ -286,7 +282,7 @@ mod tests {
         // from the first post-restart request.
         let out = run(&[(
             "crates/server/src/durability.rs",
-            "fn replay_batch(st: &mut SketchTree, t: &[Tree]) { for x in t { st.ingest_precomputed(x); } }",
+            "fn replay_batch(st: &mut SketchTree, t: &[Tree], v: &[u64]) { st.apply(t, v); }",
         )]);
         assert_eq!(out.len(), 1, "{out:?}");
         assert!(out[0].message.contains("without bumping"), "{out:?}");

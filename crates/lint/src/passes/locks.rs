@@ -72,7 +72,6 @@ impl Pass for LockDiscipline {
     fn applies(&self, rel: &str) -> bool {
         rel.starts_with("crates/server/src/")
             || rel == "crates/core/src/concurrent.rs"
-            || rel == "crates/core/src/parallel.rs"
     }
 
     fn run(&self, file: &SourceFile, out: &mut Vec<RawFinding>) {
@@ -289,16 +288,16 @@ mod tests {
     }
 
     #[test]
-    fn pass_covers_the_parallel_worker_pool() {
-        // PR 4's sharded ingest pipeline lives in core/parallel.rs; lock
-        // misuse there deadlocks every ingest worker at once, so the pass
-        // covers it alongside concurrent.rs and the server.
-        assert!(LockDiscipline.applies("crates/core/src/parallel.rs"));
+    fn pass_covers_the_batch_ingest_path() {
+        // Batch ingest alternates the synopsis' shared and exclusive
+        // locks in core/concurrent.rs; lock misuse there deadlocks every
+        // ingesting connection at once, so the pass covers it alongside
+        // the server.
         assert!(LockDiscipline.applies("crates/core/src/concurrent.rs"));
         assert!(!LockDiscipline.applies("crates/core/src/window.rs"));
         let out = run_on(
-            "crates/core/src/parallel.rs",
-            "fn f(&self) { let g = self.queue.lock(); let h = self.queue.lock(); }",
+            "crates/core/src/concurrent.rs",
+            "fn f(&self) { let g = self.inner.read(); let h = self.inner.write(); }",
         );
         assert_eq!(out.len(), 1, "{out:?}");
     }

@@ -256,12 +256,12 @@ fn l8_is_satisfied_by_a_bump_two_calls_down() {
         &[
             (
                 "crates/core/src/concurrent.rs",
-                "impl Shared { fn batch(&self, t: &[Tree]) { self.inner.write().ingest_precomputed_batch(t); } }",
+                "impl Shared { fn batch(&self, t: &[Tree]) { self.inner.write().ingest_batch(t); } }",
             ),
             (
                 "crates/core/src/sketchtree.rs",
-                "impl SketchTree { fn ingest_precomputed_batch(&mut self, t: &[Tree]) { self.apply(t); } \
-                 fn apply(&mut self, t: &[Tree]) { self.synopsis.note_inserted(t.len() as u64); self.epoch += 1; } }",
+                "impl SketchTree { fn ingest_batch(&mut self, t: &[Tree]) { self.apply(t); } \
+                 fn apply(&mut self, t: &[Tree]) { self.synopsis.insert_routed(t.len() as u64); self.epoch += 1; } }",
             ),
         ],
         &[],
@@ -280,7 +280,7 @@ fn l8_fires_on_a_wal_replay_that_skips_the_epoch_bump() {
     let report = analyze_ws(
         &[(
             "crates/server/src/durability.rs",
-            "fn replay_batch(st: &mut SketchTree, t: &[Tree]) { for x in t { st.ingest_precomputed(x); } }",
+            "fn replay_batch(st: &mut SketchTree, t: &[Tree], v: &[u64]) { st.apply(t, v); }",
         )],
         &[],
     );

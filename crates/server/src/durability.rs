@@ -215,8 +215,8 @@ pub fn recover(
 /// Re-ingests one logged batch exactly as the serving path would have:
 /// intern the batch-local names into the synopsis' table in batch order,
 /// remap each tree positionally, ingest tree by tree.  Bit-identical to
-/// the live `ingest_batch` path by the workspace's parallel-ingest
-/// parity invariant.
+/// the live `ingest_batch` path by the workspace's batch-parity
+/// invariant.
 fn replay_batch(st: &mut SketchTree, labels: &[String], trees: &[Tree]) {
     let map: Vec<Label> = {
         let table = st.labels_mut();

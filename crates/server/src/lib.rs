@@ -9,9 +9,10 @@
 //!   length-prefixed, little-endian; same hand-rolled style as the
 //!   snapshot format — no serialization dependencies).
 //! - [`server`] — a threaded TCP daemon over `std::net`: an accept loop
-//!   feeding a bounded worker pool, ingest that parses and enumerates
-//!   outside the synopsis lock, periodic checkpointing through the
-//!   snapshot layer, and snapshot-on-shutdown / restore-on-start.
+//!   feeding a bounded worker pool, ingest that parses outside the
+//!   synopsis lock and enumerates under its shared side, periodic
+//!   checkpointing through the snapshot layer, and snapshot-on-shutdown /
+//!   restore-on-start.
 //! - [`durability`] — crash safety: a write-ahead batch log
 //!   (log-before-ack, group-commit fsync) plus the recover-on-start
 //!   state machine that restores the checkpoint and replays the log

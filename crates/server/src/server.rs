@@ -12,10 +12,9 @@
 //!   [`SharedSketchTree`]:
 //!   XML parsing happens against a connection-local label table with *no*
 //!   lock held, label interning takes one short exclusive lock, and the
-//!   sketch updates go through `ingest_batch` (parallel enumeration under
-//!   the shared lock, partition-sharded insertion under one exclusive
-//!   lock per bounded chunk — so checkpoints and queries interleave with
-//!   large batches).  Queries only ever take the shared lock, so queries
+//!   sketch updates go through `ingest_batch` (enumeration under the
+//!   shared lock, insertion under one exclusive lock per bounded window —
+//!   so checkpoints and queries interleave with large batches).  Queries only ever take the shared lock, so queries
 //!   never block queries.
 //! - An optional **checkpoint thread** persists the synopsis through the
 //!   snapshot layer at a fixed interval; checkpoints are atomic *and
@@ -81,12 +80,6 @@ pub struct ServerConfig {
     /// always collected and always available over the SKTP `Metrics`
     /// opcode — this only controls the scrape listener.
     pub metrics_addr: Option<SocketAddr>,
-    /// Worker threads for the parallel `IngestTrees` pipeline:
-    /// enumeration fan-out and partition-sharded sketch insertion.
-    /// `0` means the default — `SKETCHTREE_INGEST_THREADS` when set,
-    /// otherwise the machine's available parallelism.  The synopsis is
-    /// bit-identical at every setting.
-    pub ingest_threads: usize,
     /// Outbound `EstimateUpdate` queue depth per subscribed connection.
     /// A subscriber whose queue is full when a batch broadcasts is
     /// evicted rather than waited for, so one stalled dashboard cannot
@@ -114,7 +107,6 @@ impl Default for ServerConfig {
             checkpoint_interval: None,
             sketch: SketchTreeConfig::default(),
             metrics_addr: None,
-            ingest_threads: 0,
             push_queue: 64,
             max_subscriptions_per_conn: 1024,
             wal: None,
@@ -170,14 +162,7 @@ impl Server {
         )?;
         let wal = wal.map(|w| Arc::new(Mutex::new(w)));
         st.attach_metrics(metrics.core.clone());
-        let ingest_opts = sketchtree_core::IngestOptions {
-            threads: match config.ingest_threads {
-                0 => sketchtree_core::default_ingest_threads(),
-                n => n,
-            },
-            ..sketchtree_core::IngestOptions::default()
-        };
-        let shared = SharedSketchTree::with_options(st, ingest_opts);
+        let shared = SharedSketchTree::new(st);
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));

@@ -189,56 +189,6 @@ fn idle_connection_is_closed_and_frees_its_worker() {
     server.shutdown().expect("clean shutdown");
 }
 
-/// The `ingest_threads` knob selects the parallel pipeline width, and the
-/// synopsis must be bit-identical at every setting: two servers fed the
-/// same `IngestTrees` batch through 1-thread and 8-thread pipelines have
-/// to agree on every count, stat and heavy hitter exactly.
-#[test]
-fn ingest_thread_count_does_not_change_the_synopsis() {
-    let labels = vec!["a".to_string(), "b".to_string(), "c".to_string()];
-    let trees: Vec<Tree> = (0..120)
-        .map(|i| match i % 3 {
-            0 => Tree::node(Label(0), vec![Tree::leaf(Label(1)), Tree::leaf(Label(2))]),
-            1 => Tree::node(Label(0), vec![Tree::node(Label(1), vec![Tree::leaf(Label(2))])]),
-            _ => Tree::node(Label(1), vec![Tree::leaf(Label(2)), Tree::leaf(Label(2))]),
-        })
-        .collect();
-
-    let seed = 23;
-    let run = |ingest_threads: usize| {
-        let server = Server::start(
-            "127.0.0.1:0",
-            ServerConfig {
-                ingest_threads,
-                sketch: config(seed),
-                ..ServerConfig::default()
-            },
-        )
-        .expect("server starts");
-        let mut client = Client::connect(server.addr()).expect("connect");
-        let summary = client
-            .ingest_trees(labels.clone(), trees.clone())
-            .expect("ingest");
-        assert_eq!(summary.trees, 120);
-        let stats = client.stats().expect("stats");
-        let counts: Vec<f64> = ["a(b,c)", "a(b)", "b(c)"]
-            .iter()
-            .map(|q| client.count_ordered(q).expect("count"))
-            .collect();
-        let heavy = client.heavy_hitters(16).expect("heavy");
-        server.shutdown().expect("clean shutdown");
-        (stats.patterns_processed, counts, heavy)
-    };
-
-    let single = run(1);
-    let parallel = run(8);
-    assert_eq!(single.0, parallel.0, "pattern totals diverged");
-    // Bit-identical synopses estimate bit-identically — exact float
-    // equality, not tolerance.
-    assert_eq!(single.1, parallel.1, "estimates diverged across thread counts");
-    assert_eq!(single.2, parallel.2, "heavy hitters diverged");
-}
-
 /// `subscribe` now registers with the query registry *before* taking the
 /// table mutex (the two may never nest, per the documented lock order),
 /// which means an over-cap subscription registers first and must roll the

@@ -340,21 +340,6 @@ impl SketchBank {
         &self.xi
     }
 
-    /// Applies `count` occurrences of `value` while filling `buf` with the
-    /// per-sketch ξ signs — [`SketchBank::signs_into`] followed by
-    /// [`SketchBank::update_with_signs`], producing exactly the counters
-    /// and sign buffer the two calls would.  The sign fill goes through
-    /// the slab's pipelined power-basis sweep, which beats fusing the
-    /// evaluation into the counter walk.
-    pub fn apply_with_signs(&mut self, value: u64, count: i64, buf: &mut Vec<i8>) {
-        buf.clear();
-        buf.resize(self.counters.len(), 0);
-        self.xi.fill_signs_reduced(m61::reduce(value), buf);
-        for (c, &sg) in self.counters.iter_mut().zip(buf.iter()) {
-            *c = c.wrapping_add(i64::from(sg).wrapping_mul(count));
-        }
-    }
-
     /// Applies `count` occurrences of the value whose signs are in `signs`
     /// — a stride walk over the counter slab, no ξ evaluation at all.
     pub fn update_with_signs(&mut self, signs: &[i8], count: i64) {
@@ -593,21 +578,6 @@ mod tests {
     #[should_panic]
     fn zero_s1_rejected() {
         SketchBank::new(0, 0, 7, 4);
-    }
-
-    #[test]
-    fn apply_with_signs_matches_two_pass_update() {
-        let mut fused = SketchBank::new(12, 6, 3, 4);
-        let mut two_pass = SketchBank::new(12, 6, 3, 4);
-        let mut buf_a = Vec::new();
-        let mut buf_b = Vec::new();
-        for v in [3u64, 99, 3, 777, 42] {
-            fused.apply_with_signs(v, 1, &mut buf_a);
-            two_pass.signs_into(v, &mut buf_b);
-            two_pass.update_with_signs(&buf_b, 1);
-            assert_eq!(buf_a, buf_b, "sign buffers diverged at {v}");
-        }
-        assert_eq!(fused.counter_values(), two_pass.counter_values());
     }
 
     #[test]

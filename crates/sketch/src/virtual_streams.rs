@@ -133,17 +133,16 @@ pub struct StreamSynopsis {
     /// restore.  Saturating: a partition counter pinned at `u64::MAX` is
     /// a better signal than a wrapped one.
     partition_inserts: Vec<u64>,
-    /// Reusable per-insert ξ sign buffer (hot-path allocation avoidance).
-    sign_buf: Vec<i8>,
     /// Memo of recently seen values' ξ sign rows (see [`SignCache`]).
-    /// Like `sign_buf`, pure acceleration scratch: cloned synopses share
-    /// no cache state semantics and snapshots never persist it.
+    /// Pure acceleration scratch: cloned synopses share no cache state
+    /// semantics and snapshots never persist it.
     sign_cache: SignCache,
     /// Per-partition PRNGs for probabilistic top-k invocation.  One PRNG
-    /// *per virtual stream* (not one global) so a partition's state
-    /// evolution depends only on the subsequence of values routed to it —
-    /// the property that lets [`StreamSynopsis::shards`] apply partitions
-    /// concurrently and still land bit-identical to sequential insertion.
+    /// *per virtual stream* (not one global), so a partition's sampling
+    /// decisions depend only on the subsequence of values routed to it.
+    /// The draw order decides which values Algorithm 4 sees, so it is
+    /// kept fixed: the same configuration and stream yield the same
+    /// sampled top-k state, and the same snapshot bytes, across versions.
     topk_rngs: Vec<sketchtree_hash::SplitMix64>,
 }
 
@@ -161,7 +160,7 @@ const SIGN_CACHE_SLOTS: usize = 8192;
 /// is the very reason top-k tracking exists), so remembering recently
 /// seen rows skips the polynomial evaluations for the majority of
 /// inserts while leaving every bit of synopsis state unchanged.  This is
-/// transient acceleration scratch, like `sign_buf`: not part of
+/// transient acceleration scratch: not part of
 /// [`StreamSynopsis::memory_bytes`] (the paper's Section 7.5 accounting)
 /// and never snapshotted.
 #[derive(Debug, Clone)]
@@ -206,21 +205,16 @@ impl SignCache {
 
 /// Applies one value to its partition's state: sign/counter update, then
 /// (possibly sampled) Algorithm 4 top-k processing, then the partition's
-/// monitoring counter.  This is the *single* per-value insert path —
-/// [`StreamSynopsis::insert`] and [`SynopsisShard::insert`] both call it,
-/// which is what makes the sharded pipeline bit-identical to sequential
-/// ingestion by construction.  With `cache`, the ξ row comes from the
-/// sign cache (recomputed only on a miss); without, it is evaluated
-/// fused with the counter update.  Both produce identical signs, so the
-/// synopsis state cannot tell the difference.
+/// monitoring counter.  The ξ row comes from the sign cache (recomputed
+/// only on a miss), so the counter sweep and the top-k estimate share one
+/// sign evaluation.
 #[inline]
 fn insert_routed(
     bank: &mut SketchBank,
     topk: &mut TopKTracker,
     rng: &mut sketchtree_hash::SplitMix64,
     topk_probability: u16,
-    sign_buf: &mut Vec<i8>,
-    cache: Option<&mut SignCache>,
+    cache: &mut SignCache,
     inserts: &mut u64,
     value: u64,
 ) {
@@ -235,84 +229,12 @@ fn insert_routed(
     } else {
         0
     };
-    let delta = 1i64.wrapping_add(restored);
-    let signs: &[i8] = match cache {
-        Some(c) => {
-            let signs = c.signs(bank.xi(), value);
-            bank.update_with_signs(signs, delta);
-            signs
-        }
-        None => {
-            bank.apply_with_signs(value, delta, sign_buf);
-            sign_buf
-        }
-    };
+    let signs = cache.signs(bank.xi(), value);
+    bank.update_with_signs(signs, 1i64.wrapping_add(restored));
     if invoke_topk {
         topk.process_restored_with_signs(value, bank, signs);
     }
     *inserts = inserts.saturating_add(1);
-}
-
-/// Exclusive view of one virtual-stream partition: its sketch bank, top-k
-/// tracker, sampling PRNG and monitoring counter.
-///
-/// Obtained from [`StreamSynopsis::shards`].  Each shard owns state no
-/// other shard aliases, so a batch whose values have been split by
-/// partition (`value mod p`) can be applied by several threads at once —
-/// one shard per owner — and, as long as every shard receives its values
-/// in stream order, the final synopsis is byte-identical to sequential
-/// [`StreamSynopsis::insert`] calls: cross-partition ordering never
-/// influenced any partition's state to begin with.
-pub struct SynopsisShard<'a> {
-    index: usize,
-    partitions: u64,
-    topk_probability: u16,
-    bank: &'a mut SketchBank,
-    topk: &'a mut TopKTracker,
-    rng: &'a mut sketchtree_hash::SplitMix64,
-    inserts: &'a mut u64,
-    sign_buf: Vec<i8>,
-    inserted: u64,
-}
-
-impl SynopsisShard<'_> {
-    /// This shard's partition index in `0..partition_count()`.
-    pub fn index(&self) -> usize {
-        self.index
-    }
-
-    /// Inserts one occurrence of `value`, which must route to this
-    /// partition (`value mod p == index`).
-    ///
-    /// # Panics
-    /// Debug-panics on a mis-routed value — release builds would
-    /// silently corrupt the partition-ownership invariant instead, so
-    /// the routing is the caller's contract.
-    pub fn insert(&mut self, value: u64) {
-        debug_assert_eq!(
-            value % self.partitions,
-            // lint:allow(L2, reason = "usize -> u64 is widening; the shard index is < partitions which itself fits u64")
-            self.index as u64,
-            "value routed to the wrong shard"
-        );
-        insert_routed(
-            self.bank,
-            self.topk,
-            self.rng,
-            self.topk_probability,
-            &mut self.sign_buf,
-            None,
-            self.inserts,
-            value,
-        );
-        self.inserted = self.inserted.saturating_add(1);
-    }
-
-    /// Values applied through this view (the caller reports the total back
-    /// via [`StreamSynopsis::note_inserted`] once the views are dropped).
-    pub fn inserted(&self) -> u64 {
-        self.inserted
-    }
 }
 
 impl StreamSynopsis {
@@ -339,8 +261,7 @@ impl StreamSynopsis {
             .collect();
         // One sampling PRNG per partition, each derived from the master
         // seed and the partition index — a partition's RNG consumption is
-        // then a pure function of the subsequence routed to it, which is
-        // what keeps sharded ingestion bit-identical to sequential.
+        // then a pure function of the subsequence routed to it.
         let topk_rngs = (0..config.virtual_streams)
             .map(|r| {
                 sketchtree_hash::SplitMix64::new(sketchtree_hash::SplitMix64::derive(
@@ -357,7 +278,6 @@ impl StreamSynopsis {
             topks,
             values_processed: 0,
             partition_inserts,
-            sign_buf: Vec::new(),
             sign_cache: SignCache::new(families),
             topk_rngs,
         }
@@ -404,62 +324,11 @@ impl StreamSynopsis {
             topk,
             rng,
             self.config.topk_probability,
-            &mut self.sign_buf,
-            Some(&mut self.sign_cache),
+            &mut self.sign_cache,
             inserts,
             value,
         );
         self.values_processed = self.values_processed.saturating_add(1);
-    }
-
-    /// Number of virtual-stream partitions (`p`).
-    pub fn partition_count(&self) -> usize {
-        self.banks.len()
-    }
-
-    /// The partition index `value mod p` routes to — the routing the
-    /// sharded pipeline must replicate when splitting a batch.
-    pub fn partition_of(&self, value: u64) -> usize {
-        self.route(value)
-    }
-
-    /// Adds `n` to the stream-length counter.  Shard views cannot touch
-    /// `values_processed` (it is whole-synopsis state, not partition
-    /// state), so a sharded batch reports its total here afterwards —
-    /// mirroring the single saturating add per value that sequential
-    /// [`StreamSynopsis::insert`] performs.
-    pub fn note_inserted(&mut self, n: u64) {
-        self.values_processed = self.values_processed.saturating_add(n);
-    }
-
-    /// Splits the synopsis into one exclusive [`SynopsisShard`] per
-    /// partition.  The shards borrow disjoint state, are `Send`, and may
-    /// be moved to worker threads; each value must be applied to the
-    /// shard [`StreamSynopsis::partition_of`] names, in stream order
-    /// within that shard.  Afterwards, report the total inserted via
-    /// [`StreamSynopsis::note_inserted`].
-    pub fn shards(&mut self) -> Vec<SynopsisShard<'_>> {
-        // lint:allow(L2, reason = "usize -> u64 partition count is widening on every supported target")
-        let partitions = self.banks.len() as u64;
-        let topk_probability = self.config.topk_probability;
-        self.banks
-            .iter_mut()
-            .zip(self.topks.iter_mut())
-            .zip(self.topk_rngs.iter_mut())
-            .zip(self.partition_inserts.iter_mut())
-            .enumerate()
-            .map(|(index, (((bank, topk), rng), inserts))| SynopsisShard {
-                index,
-                partitions,
-                topk_probability,
-                bank,
-                topk,
-                rng,
-                inserts,
-                sign_buf: Vec::new(),
-                inserted: 0,
-            })
-            .collect()
     }
 
     /// Merges another synopsis built over a *disjoint* slice of the same
@@ -1098,28 +967,6 @@ mod tests {
         assert_eq!(syn.estimate_count(5), restored.estimate_count(5));
     }
 
-    /// Replays `values` through shard views the way the parallel pipeline
-    /// does: split by partition preserving stream order, then apply each
-    /// partition's queue through its own [`SynopsisShard`].
-    fn insert_via_shards(syn: &mut StreamSynopsis, values: &[u64]) {
-        let p = syn.partition_count();
-        let mut queues: Vec<Vec<u64>> = vec![Vec::new(); p];
-        for &v in values {
-            queues[syn.partition_of(v)].push(v);
-        }
-        let mut shards = syn.shards();
-        // Deliberately iterate the shards in *reverse* partition order:
-        // cross-partition application order must not matter.
-        for shard in shards.iter_mut().rev() {
-            for &v in &queues[shard.index()] {
-                shard.insert(v);
-            }
-        }
-        let inserted: u64 = shards.iter().map(SynopsisShard::inserted).sum();
-        drop(shards);
-        syn.note_inserted(inserted);
-    }
-
     fn zipf_values() -> Vec<u64> {
         let mut vals = Vec::new();
         for &(v, f) in &skewed_stream() {
@@ -1134,37 +981,6 @@ mod tests {
             vals.swap(i, j);
         }
         vals
-    }
-
-    #[test]
-    fn sharded_insert_is_bit_identical_to_sequential() {
-        for prob in [u16::MAX, u16::MAX / 3, 0] {
-            let cfg = SynopsisConfig {
-                topk_probability: prob,
-                ..small_config(6)
-            };
-            let values = zipf_values();
-            let mut seq = StreamSynopsis::new(cfg.clone());
-            for &v in &values {
-                seq.insert(v);
-            }
-            let mut sharded = StreamSynopsis::new(cfg);
-            insert_via_shards(&mut sharded, &values);
-            assert_eq!(
-                seq.export_state(),
-                sharded.export_state(),
-                "topk_probability {prob}: sharded state diverged from sequential"
-            );
-            assert_eq!(seq.values_processed(), sharded.values_processed());
-            assert_eq!(
-                seq.partition_insert_counts(),
-                sharded.partition_insert_counts()
-            );
-            assert_eq!(
-                seq.tracked_heavy_hitters(),
-                sharded.tracked_heavy_hitters()
-            );
-        }
     }
 
     #[test]
@@ -1215,20 +1031,6 @@ mod tests {
         let mut a = StreamSynopsis::new(small_config(3));
         let b = StreamSynopsis::new(SynopsisConfig { seed: 18, ..small_config(3) });
         assert!(a.merge_from(&b).is_err());
-    }
-
-    #[test]
-    fn shards_cover_every_partition_exactly_once() {
-        let mut syn = StreamSynopsis::new(small_config(2));
-        let shards = syn.shards();
-        let indices: Vec<usize> = shards.iter().map(SynopsisShard::index).collect();
-        assert_eq!(indices, (0..13).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn shards_are_send() {
-        fn assert_send<T: Send>() {}
-        assert_send::<SynopsisShard<'_>>();
     }
 
     #[test]

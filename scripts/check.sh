@@ -24,29 +24,23 @@ echo "==> doc link check"
 # workspace test noise.
 cargo test --quiet -p sketchtree --test doc_links
 
-echo "==> parallel-ingest parity (SKETCHTREE_INGEST_THREADS=1 and =8)"
-# The sharded pipeline must produce a snapshot byte-identical to
-# sequential ingest at any width.  The proptest already sweeps explicit
-# thread counts internally; forcing the *default* width through the
-# environment additionally pins the env-driven path at both extremes.
-# RUST_TEST_THREADS=1 keeps the process-global env var race-free.
-RUST_TEST_THREADS=1 SKETCHTREE_INGEST_THREADS=1 \
-    cargo test --quiet -p sketchtree-core --lib snapshot_parity_across_thread_counts
-RUST_TEST_THREADS=1 SKETCHTREE_INGEST_THREADS=8 \
-    cargo test --quiet -p sketchtree-core --lib snapshot_parity_across_thread_counts
+echo "==> batch-parity (server batch ingest == per-tree ingest, byte for byte)"
+# SharedSketchTree::ingest_batch — the server's path — must produce a
+# snapshot byte-identical to per-tree SketchTree::ingest, over random
+# batch splits (some spanning several lock windows), with top-k run on
+# every value and with top-k sampled.  The property test runs in the
+# sweep above; naming it here gives batch-path regressions their own
+# banner.
+cargo test --quiet -p sketchtree-core --lib batch_parity_across_random_splits
 
-echo "==> hotpath-parity (allocation-free ingest path == legacy path, 1 and 8 threads)"
-# The wire-speed insert path (sign cache, fused restore delta, power-basis
-# xi evaluation, flattened counter slab) must stay bit-identical to the
-# straightforward per-element path it replaced.  The lib test compares the
-# fast path against the legacy observer path element by element, at both
-# env-driven ingest widths; together with the snapshot-parity sweep above
-# this pins the rewrite to byte-identical synopses at 1 and 8 threads.
-# RUST_TEST_THREADS=1 keeps the process-global env var race-free.
-RUST_TEST_THREADS=1 SKETCHTREE_INGEST_THREADS=1 \
-    cargo test --quiet -p sketchtree-core --lib fast_ingest_path_matches_legacy_observer_path
-RUST_TEST_THREADS=1 SKETCHTREE_INGEST_THREADS=8 \
-    cargo test --quiet -p sketchtree-core --lib fast_ingest_path_matches_legacy_observer_path
+echo "==> hotpath-parity (allocation-free ingest path == legacy path)"
+# The wire-speed ingest path (arena enumeration, batch fingerprinting,
+# sign cache, fused restore delta, flattened counter slab) must stay
+# bit-identical to the straightforward per-pattern pipeline it replaced,
+# which lives on as a test-only oracle: same values in the same order,
+# byte-identical synopsis state.  Together with batch-parity this pins
+# the server's batch path to the specification.
+cargo test --quiet -p sketchtree-core --lib fast_ingest_path_matches_legacy_observer_path
 
 echo "==> synopsis merge parity (shard-split vs sequential ingest)"
 # Merging shard synopses must be byte-identical to sequential ingest
