@@ -114,35 +114,44 @@ fn slab_insert_path_allocates_zero_bytes_after_warmup() {
 #[test]
 #[ignore = "alloc-counting micro-bench; run with -- --ignored"]
 fn shared_batch_ingest_allocates_nothing_after_warmup() {
-    use sketchtree_core::{SharedSketchTree, SketchTree, SketchTreeConfig};
+    use sketchtree_core::{CoreMetrics, SharedSketchTree, SketchTree, SketchTreeConfig};
     use sketchtree_datagen::{Dataset, StreamSpec};
+    use sketchtree_metrics::Registry;
 
     // The server's path: prebuilt trees in batches of 8 through
     // `SharedSketchTree::ingest_batch` (enumerate under the shared lock,
-    // apply under the exclusive lock), summary on, default geometry.
-    let mut st = SketchTree::new(SketchTreeConfig::default());
-    let trees = StreamSpec {
-        dataset: Dataset::Dblp,
-        n_trees: 400,
-        seed: 11,
-    }
-    .generate(st.labels_mut());
-    let shared = SharedSketchTree::new(st);
-    let pass = || {
-        for batch in trees.chunks(8) {
-            shared.ingest_batch(batch);
+    // apply under the exclusive lock), summary on, default geometry —
+    // bare, and with the core metrics attached as `serve` runs it, so the
+    // per-tree and per-window histogram observations are covered too.
+    for with_metrics in [false, true] {
+        let mut st = SketchTree::new(SketchTreeConfig::default());
+        let trees = StreamSpec {
+            dataset: Dataset::Dblp,
+            n_trees: 400,
+            seed: 11,
         }
-    };
-    // Two warm-up passes: the first grows the enumeration arena, the
-    // value buffers and the scratch pool; the second lets the top-k
-    // trackers settle on the stream's heavy hitters.
-    pass();
-    pass();
-    let (bytes, calls) = count_allocations(pass);
-    assert_eq!(
-        (bytes, calls),
-        (0, 0),
-        "batch ingest allocated {bytes} bytes in {calls} calls over {} trees",
-        trees.len()
-    );
+        .generate(st.labels_mut());
+        let shared = SharedSketchTree::new(st);
+        if with_metrics {
+            shared.attach_metrics(CoreMetrics::register(&Registry::new()));
+        }
+        let pass = || {
+            for batch in trees.chunks(8) {
+                shared.ingest_batch(batch);
+            }
+        };
+        // Two warm-up passes: the first grows the enumeration arena, the
+        // value buffers and the scratch pool; the second lets the top-k
+        // trackers settle on the stream's heavy hitters.
+        pass();
+        pass();
+        let (bytes, calls) = count_allocations(pass);
+        assert_eq!(
+            (bytes, calls),
+            (0, 0),
+            "batch ingest (metrics attached: {with_metrics}) allocated {bytes} bytes in {calls} \
+             calls over {} trees",
+            trees.len()
+        );
+    }
 }

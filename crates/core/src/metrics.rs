@@ -13,7 +13,7 @@
 //! turns into gauges.  See `docs/observability.md` for how each field maps
 //! onto the paper's Theorem 1/2 error bounds.
 
-use sketchtree_metrics::{Counter, Histogram, Registry, LATENCY_BUCKETS};
+use sketchtree_metrics::{Counter, Histogram, Registry};
 use std::sync::Arc;
 
 /// Pre-registered metric handles for the core pipeline.
@@ -76,7 +76,6 @@ impl CoreMetrics {
             registry.histogram_with(
                 "sketchtree_query_seconds",
                 "Query latency in seconds, by query kind",
-                LATENCY_BUCKETS,
                 &[("kind", kind)],
             )
         };
@@ -92,17 +91,14 @@ impl CoreMetrics {
             ingest_seconds: registry.histogram(
                 "sketchtree_ingest_seconds",
                 "Seconds per fused ingest (enumerate + encode + map + sketch update)",
-                LATENCY_BUCKETS,
             ),
             enumerate_seconds: registry.histogram(
                 "sketchtree_enumerate_seconds",
                 "Seconds per tree enumeration (read-only half of Algorithm 1)",
-                LATENCY_BUCKETS,
             ),
             insert_seconds: registry.histogram(
                 "sketchtree_sketch_insert_seconds",
                 "Seconds per apply of enumerated values to the sketch (write half of Algorithm 1)",
-                LATENCY_BUCKETS,
             ),
             query_ordered: query_total("ordered"),
             query_unordered: query_total("unordered"),
@@ -183,6 +179,7 @@ pub fn relative_spread(estimates: &[f64]) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn register_creates_all_series() {
@@ -190,7 +187,7 @@ mod tests {
         let m = CoreMetrics::register(&reg);
         m.ingest_trees.inc();
         m.query_ordered.inc();
-        m.query_ordered_seconds.observe(0.001);
+        m.query_ordered_seconds.observe_duration(Duration::from_millis(1));
         let text = reg.render_text();
         assert!(text.contains("sketchtree_ingest_trees_total 1"));
         assert!(text.contains("sketchtree_query_total{kind=\"ordered\"} 1"));

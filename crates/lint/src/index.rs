@@ -971,7 +971,7 @@ mod tests {
         let (_, idx) = index_one(
             "crates/x/src/m.rs",
             "fn r(reg: &Registry) { reg.counter(\"a_total\", \"h\"); reg.gauge(\"b\", \"h\"); \
-             reg.histogram_with(\"c_seconds\", \"h\", B, &[(\"k\", v)]); reg.gauge(name, \"h\"); }\n\
+             reg.histogram_with(\"c_seconds\", \"h\", &[(\"k\", v)]); reg.gauge(name, \"h\"); }\n\
              const K_PING: u8 = 0x01;\nconst K_TWO: u8 = 2;\nconst MAX: u32 = 7;\n\
              #[cfg(test)] mod tests { fn t(reg: &Registry) { reg.counter(\"test_only\", \"h\"); } }",
         );

@@ -317,7 +317,7 @@ mod tests {
     #[test]
     fn histogram_derived_series_are_satisfied_by_base() {
         let met = "fn m(r: &Registry) { r.counter(\"sktp_frames_total\", \"h\"); \
-                   r.histogram(\"sktp_request_seconds\", \"h\", b); }\n";
+                   r.histogram(\"sktp_request_seconds\", \"h\"); }\n";
         let doc = format!(
             "{CLEAN_ODOC}| `sktp_request_seconds` | histogram |\n\
              Prose: watch `sktp_request_seconds_count` for rates.\n"

@@ -16,8 +16,8 @@
 //!
 //! # Measurement paths
 //!
-//! * Per-op latency and error counts, per [`OpKind`], in
-//!   high-resolution [`LatencyHist`]s merged across workers.
+//! * Per-op latency and error counts, per [`OpKind`], in log-linear
+//!   [`Histogram`]s and counters shared by every worker.
 //! * Scheduling lag (actual start − scheduled start) as a driver-health
 //!   signal: if the *driver* cannot keep up, the report says so rather
 //!   than blaming the server.
@@ -28,15 +28,15 @@
 //!   and the ack race), clamped at zero; documented in
 //!   docs/benchmarks.md.
 //!
-//! Everything is also mirrored into a [`sketchtree_metrics::Registry`]
-//! (`sketchtree_loadgen_*`, see docs/observability.md) so a long-running
-//! drive can be scraped like any other component.
+//! Each sample is recorded once, into a [`sketchtree_metrics::Registry`]
+//! (`sketchtree_loadgen_*`, see docs/observability.md): the report reads
+//! its percentiles from those handles, and a long-running drive can be
+//! scraped like any other component.
 
-use crate::hist::LatencyHist;
 use crate::json::Json;
 use crate::report;
 use crate::scenario::{Mix, OpKind, Scenario, Workload};
-use sketchtree_metrics::{Registry, LATENCY_BUCKETS};
+use sketchtree_metrics::{Counter, Histogram, Registry};
 use sketchtree_server::wire::SubscribeMode;
 use sketchtree_server::{Client, Server, ServerConfig};
 use std::collections::HashMap;
@@ -132,31 +132,13 @@ fn hard_stop(duration: Duration) -> Duration {
     duration * 2 + Duration::from_secs(2)
 }
 
-/// Per-worker measurement state, merged after the run.
+/// Per-worker tallies the registry does not hold, summed after the run.
+#[derive(Default)]
 struct WorkerStats {
-    hists: Vec<LatencyHist>,
-    ops: Vec<u64>,
-    errors: Vec<u64>,
-    sched_lag: LatencyHist,
     trees: u64,
     patterns: u64,
     executed: u64,
     setup_error: Option<String>,
-}
-
-impl WorkerStats {
-    fn new() -> Self {
-        Self {
-            hists: OpKind::ALL.iter().map(|_| LatencyHist::new()).collect(),
-            ops: vec![0; OpKind::ALL.len()],
-            errors: vec![0; OpKind::ALL.len()],
-            sched_lag: LatencyHist::new(),
-            trees: 0,
-            patterns: 0,
-            executed: 0,
-            setup_error: None,
-        }
-    }
 }
 
 /// Per-subscriber measurement state.
@@ -172,13 +154,13 @@ struct SubStats {
 
 /// Driver-side metric handles (names documented in docs/observability.md).
 struct DriverMetrics {
-    ops: Vec<Arc<sketchtree_metrics::Counter>>,
-    errors: Vec<Arc<sketchtree_metrics::Counter>>,
-    op_seconds: Vec<Arc<sketchtree_metrics::Histogram>>,
-    sched_lag: Arc<sketchtree_metrics::Histogram>,
-    push_lag: Arc<sketchtree_metrics::Histogram>,
-    push_updates: Arc<sketchtree_metrics::Counter>,
-    ingested_trees: Arc<sketchtree_metrics::Counter>,
+    ops: Vec<Arc<Counter>>,
+    errors: Vec<Arc<Counter>>,
+    op_seconds: Vec<Arc<Histogram>>,
+    sched_lag: Arc<Histogram>,
+    push_lag: Arc<Histogram>,
+    push_updates: Arc<Counter>,
+    ingested_trees: Arc<Counter>,
 }
 
 impl DriverMetrics {
@@ -203,7 +185,6 @@ impl DriverMetrics {
                 registry.histogram_with(
                     "sketchtree_loadgen_op_seconds",
                     "Scheduled-start-to-completion latency, by kind",
-                    LATENCY_BUCKETS,
                     &[("kind", k.name())],
                 )
             })
@@ -215,12 +196,10 @@ impl DriverMetrics {
             sched_lag: registry.histogram(
                 "sketchtree_loadgen_sched_lag_seconds",
                 "How late ops start relative to their open-loop schedule (driver health)",
-                LATENCY_BUCKETS,
             ),
             push_lag: registry.histogram(
                 "sketchtree_loadgen_push_lag_seconds",
                 "Ingest-acknowledgement-to-pushed-update lag for standing queries",
-                LATENCY_BUCKETS,
             ),
             push_updates: registry.counter(
                 "sketchtree_loadgen_push_updates_total",
@@ -309,15 +288,9 @@ pub fn run(cfg: &RunConfig) -> Result<RunOutput, String> {
         }));
     }
 
-    let mut stats = WorkerStats::new();
+    let mut stats = WorkerStats::default();
     for h in worker_handles {
         let w = h.join().map_err(|_| "a worker thread panicked".to_string())?;
-        for (i, hist) in w.hists.iter().enumerate() {
-            stats.hists[i].merge_from(hist);
-            stats.ops[i] += w.ops[i];
-            stats.errors[i] += w.errors[i];
-        }
-        stats.sched_lag.merge_from(&w.sched_lag);
         stats.trees += w.trees;
         stats.patterns += w.patterns;
         stats.executed += w.executed;
@@ -350,7 +323,6 @@ pub fn run(cfg: &RunConfig) -> Result<RunOutput, String> {
     // Push lag: pair each subscriber's k-th distinct epoch arrival with
     // the k-th ingest ack, clamping the broadcast/ack race to zero.
     let acks = ingest_acks.lock().map_err(|_| "ack mutex poisoned".to_string())?;
-    let mut push_lag = LatencyHist::new();
     let mut updates_total = 0u64;
     let mut max_epoch = 0u64;
     let mut monotone = true;
@@ -361,8 +333,7 @@ pub fn run(cfg: &RunConfig) -> Result<RunOutput, String> {
         for (k, arrival) in s.epoch_arrivals.iter().enumerate() {
             let Some(ack) = acks.get(k) else { break };
             let lag = arrival.saturating_duration_since(*ack);
-            push_lag.record_duration(lag);
-            metrics.push_lag.observe(lag.as_secs_f64());
+            metrics.push_lag.observe_duration(lag);
         }
     }
     drop(acks);
@@ -385,13 +356,12 @@ pub fn run(cfg: &RunConfig) -> Result<RunOutput, String> {
     let report = report::build(report::BuildInput {
         cfg,
         elapsed,
-        op_hists: &stats.hists,
-        op_counts: &stats.ops,
-        op_errors: &stats.errors,
-        sched_lag: &stats.sched_lag,
+        op_latency: &metrics.op_seconds,
+        op_errors: &metrics.errors,
+        sched_lag: &metrics.sched_lag,
         trees: stats.trees,
         patterns: stats.patterns,
-        push_lag: &push_lag,
+        push_lag: &metrics.push_lag,
         updates: updates_total,
         max_epoch,
         monotone,
@@ -418,7 +388,7 @@ fn worker_loop(
     ingest_acks: &Mutex<Vec<Instant>>,
     metrics: &DriverMetrics,
 ) -> WorkerStats {
-    let mut stats = WorkerStats::new();
+    let mut stats = WorkerStats::default();
     let mut client = match Client::connect(addr) {
         Ok(c) => c,
         Err(e) => {
@@ -445,8 +415,7 @@ fn worker_loop(
             std::thread::sleep(wait);
         }
         let lag = start.elapsed().saturating_sub(sched_d);
-        stats.sched_lag.record_duration(lag);
-        metrics.sched_lag.observe(lag.as_secs_f64());
+        metrics.sched_lag.observe_duration(lag);
 
         let kind = cfg.mix.kind_for(cfg.seed, i);
         let kidx = OpKind::ALL.iter().position(|&k| k == kind).unwrap_or(0);
@@ -467,15 +436,10 @@ fn worker_loop(
         let latency = start.elapsed().saturating_sub(sched_d);
         match outcome {
             Ok(()) => {
-                stats.ops[kidx] += 1;
-                stats.hists[kidx].record_duration(latency);
                 metrics.ops[kidx].inc();
-                metrics.op_seconds[kidx].observe(latency.as_secs_f64());
+                metrics.op_seconds[kidx].observe_duration(latency);
             }
-            Err(_) => {
-                stats.errors[kidx] += 1;
-                metrics.errors[kidx].inc();
-            }
+            Err(_) => metrics.errors[kidx].inc(),
         }
     }
     stats
@@ -613,7 +577,7 @@ fn run_sweep(
         if batch == 0 || pool.is_empty() {
             continue;
         }
-        let mut hist = LatencyHist::new();
+        let hist = Histogram::new();
         let mut trees = 0u64;
         let mut cursor = 0usize;
         let start = Instant::now();
@@ -627,7 +591,7 @@ fn run_sweep(
             let summary = client
                 .ingest_trees(workload.labels.clone(), chunk)
                 .map_err(|e| format!("sweep ingest: {e}"))?;
-            hist.record_duration(op_start.elapsed());
+            hist.observe_duration(op_start.elapsed());
             trees += summary.trees;
         }
         let secs = start.elapsed().as_secs_f64();
@@ -637,7 +601,7 @@ fn run_sweep(
             // Every sweep row records at least one batch round-trip, so a
             // missing quantile can only mean an empty window; report 0
             // rather than making the row's type nullable.
-            p99_us: hist.quantile(0.99).unwrap_or(0),
+            p99_us: hist.quantile(0.99).map_or(0, report::micros),
             batches: hist.count(),
         });
     }

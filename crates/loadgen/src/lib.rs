@@ -16,8 +16,6 @@
 //! * [`scenario`] — the scenario matrix (dataset shape × arrival
 //!   process), op mix, and deterministic workload preparation.
 //! * [`driver`] — the open-loop driver itself.
-//! * [`hist`] — log-linear latency histogram (p999 needs better than a
-//!   dozen operational buckets).
 //! * [`report`] / [`schema`] — report emission and the validator the
 //!   `loadgen-smoke` gate runs.
 //! * [`json`] — the minimal JSON tree both of those share.
@@ -31,7 +29,6 @@
 #![warn(clippy::all)]
 
 pub mod driver;
-pub mod hist;
 pub mod json;
 pub mod report;
 pub mod scenario;

@@ -7,10 +7,11 @@
 //! diff cleanly across PRs.
 
 use crate::driver::RunConfig;
-use crate::hist::LatencyHist;
 use crate::json::Json;
 use crate::scenario::OpKind;
 use crate::schema;
+use sketchtree_metrics::{Counter, Histogram};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// One row of the closed-loop throughput-vs-batch-size sweep.
@@ -32,20 +33,19 @@ pub struct BuildInput<'a> {
     pub cfg: &'a RunConfig,
     /// Wall-clock time of the main window including backlog drain.
     pub elapsed: Duration,
-    /// Latency histograms indexed like [`OpKind::ALL`].
-    pub op_hists: &'a [LatencyHist],
-    /// Completed-op counts indexed like [`OpKind::ALL`].
-    pub op_counts: &'a [u64],
-    /// Error counts indexed like [`OpKind::ALL`].
-    pub op_errors: &'a [u64],
+    /// Latencies of completed ops, indexed like [`OpKind::ALL`]; each
+    /// histogram's count is that kind's completed-op count.
+    pub op_latency: &'a [Arc<Histogram>],
+    /// Failed ops, indexed like [`OpKind::ALL`].
+    pub op_errors: &'a [Arc<Counter>],
     /// Actual-start minus scheduled-start, driver health.
-    pub sched_lag: &'a LatencyHist,
+    pub sched_lag: &'a Histogram,
     /// Trees acknowledged across all ingest ops.
     pub trees: u64,
     /// Pattern instances acknowledged across all ingest ops.
     pub patterns: u64,
     /// Ingest-ack-to-push lag samples.
-    pub push_lag: &'a LatencyHist,
+    pub push_lag: &'a Histogram,
     /// Pushed updates received across subscribers.
     pub updates: u64,
     /// Highest epoch observed in any update.
@@ -66,25 +66,27 @@ pub fn bench_path(scenario_name: &str) -> String {
     format!("BENCH_loadgen_{scenario_name}.json")
 }
 
-/// Renders a latency histogram as the canonical percentile block.
+/// Whole microseconds in `d`, the report's latency unit.
+pub(crate) fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// Renders a latency histogram as the canonical percentile block, in
+/// microseconds: integers for the percentiles and `max`, fractional for
+/// `mean`.
 ///
 /// A histogram with no samples has no latency distribution: every field
 /// is emitted as `null` (the keys stay present — the schema requires
 /// them) instead of a fabricated 0 µs that would read as "instant".
-fn latency_block(h: &LatencyHist) -> Json {
-    let quantile = |q: f64| h.quantile(q).map_or(Json::Null, |v| Json::Num(v as f64));
+fn latency_block(h: &Histogram) -> Json {
+    let us = |d: Option<Duration>| d.map_or(Json::Null, |d| Json::Num(micros(d) as f64));
     let mut b = Json::obj();
-    b.set("p50", quantile(0.50));
-    b.set("p90", quantile(0.90));
-    b.set("p99", quantile(0.99));
-    b.set("p999", quantile(0.999));
-    if h.count() == 0 {
-        b.set("max", Json::Null);
-        b.set("mean", Json::Null);
-    } else {
-        b.set("max", Json::Num(h.max() as f64));
-        b.set("mean", Json::Num(h.mean()));
-    }
+    b.set("p50", us(h.quantile(0.50)));
+    b.set("p90", us(h.quantile(0.90)));
+    b.set("p99", us(h.quantile(0.99)));
+    b.set("p999", us(h.quantile(0.999)));
+    b.set("max", us(h.max()));
+    b.set("mean", h.mean().map_or(Json::Null, |d| Json::Num(d.as_nanos() as f64 / 1e3)));
     b
 }
 
@@ -125,12 +127,13 @@ pub fn build(input: BuildInput<'_>) -> Json {
     let mut ops = Json::obj();
     for (i, kind) in OpKind::ALL.iter().enumerate() {
         let mut block = Json::obj();
-        let count = input.op_counts.get(i).copied().unwrap_or(0);
+        let latency = input.op_latency.get(i).map(Arc::as_ref);
+        let count = latency.map_or(0, Histogram::count);
+        let errors = input.op_errors.get(i).map_or(0, |c| c.get());
         block.set("count", Json::Num(count as f64));
-        block.set("errors", Json::Num(input.op_errors.get(i).copied().unwrap_or(0) as f64));
+        block.set("errors", Json::Num(errors as f64));
         block.set("throughput_per_sec", Json::Num(count as f64 / elapsed_secs));
-        let empty = LatencyHist::new();
-        block.set("latency_us", latency_block(input.op_hists.get(i).unwrap_or(&empty)));
+        block.set("latency_us", latency_block(latency.unwrap_or(&Histogram::new())));
         ops.set(kind.name(), block);
     }
     report.set("ops", ops);
@@ -177,30 +180,38 @@ pub fn build(input: BuildInput<'_>) -> Json {
 /// tests break the moment the emitter and validator drift apart.
 #[cfg(test)]
 pub fn example_for_tests() -> Json {
+    let sweep = [SweepRow { batch: 16, trees_per_sec: 1234.5, p99_us: 880, batches: 42 }];
+    build_for_tests(&[120, 340, 900, 4_200, 15_000], Duration::from_millis(1500), &sweep)
+}
+
+/// A report whose every histogram (each op kind, scheduling lag, push
+/// lag) holds the same microsecond samples, with no errors.
+#[cfg(test)]
+fn build_for_tests(samples_us: &[u64], elapsed: Duration, sweep: &[SweepRow]) -> Json {
     use crate::scenario::Scenario;
     let scenario = Scenario::parse("dblp-steady").expect("known scenario");
     let cfg = RunConfig::smoke(scenario);
-    let mut hist = LatencyHist::new();
-    for v in [120u64, 340, 900, 4_200, 15_000] {
-        hist.record(v);
+    let hist = Arc::new(Histogram::new());
+    for &v in samples_us {
+        hist.observe_duration(Duration::from_micros(v));
     }
-    let hists: Vec<LatencyHist> = OpKind::ALL.iter().map(|_| hist.clone()).collect();
-    let sweep = [SweepRow { batch: 16, trees_per_sec: 1234.5, p99_us: 880, batches: 42 }];
+    let hists = vec![hist.clone(); OpKind::ALL.len()];
+    let errors: Vec<_> = OpKind::ALL.iter().map(|_| Arc::new(Counter::new())).collect();
+    let n = samples_us.len() as u64;
     build(BuildInput {
         cfg: &cfg,
-        elapsed: Duration::from_millis(1500),
-        op_hists: &hists,
-        op_counts: &[30, 50, 10, 10],
-        op_errors: &[0, 0, 0, 0],
+        elapsed,
+        op_latency: &hists,
+        op_errors: &errors,
         sched_lag: &hist,
-        trees: 240,
-        patterns: 2_400,
+        trees: 8 * n,
+        patterns: 80 * n,
         push_lag: &hist,
-        updates: 12,
-        max_epoch: 30,
+        updates: n,
+        max_epoch: n,
         monotone: true,
         abandoned: 0,
-        sweep: &sweep,
+        sweep,
         server_excerpt: None,
     })
 }
@@ -226,27 +237,7 @@ mod tests {
     /// a distribution — and still validate.
     #[test]
     fn zero_sample_histogram_emits_null_and_validates() {
-        let scenario = crate::scenario::Scenario::parse("dblp-steady").expect("known scenario");
-        let cfg = RunConfig::smoke(scenario);
-        let empty = LatencyHist::new();
-        let hists: Vec<LatencyHist> = OpKind::ALL.iter().map(|_| empty.clone()).collect();
-        let r = build(BuildInput {
-            cfg: &cfg,
-            elapsed: Duration::from_millis(100),
-            op_hists: &hists,
-            op_counts: &[0, 0, 0, 0],
-            op_errors: &[0, 0, 0, 0],
-            sched_lag: &empty,
-            trees: 0,
-            patterns: 0,
-            push_lag: &empty,
-            updates: 0,
-            max_epoch: 0,
-            monotone: true,
-            abandoned: 0,
-            sweep: &[],
-            server_excerpt: None,
-        });
+        let r = build_for_tests(&[], Duration::from_millis(100), &[]);
         for field in ["p50", "p99", "p999", "max", "mean"] {
             assert!(
                 matches!(r.get_path(&["ops", "ingest", "latency_us", field]), Some(Json::Null)),
@@ -263,32 +254,11 @@ mod tests {
     /// report validates.
     #[test]
     fn one_sample_histogram_reports_the_sample_and_validates() {
-        let scenario = crate::scenario::Scenario::parse("dblp-steady").expect("known scenario");
-        let cfg = RunConfig::smoke(scenario);
-        let mut h = LatencyHist::new();
-        h.record(310);
-        let hists: Vec<LatencyHist> = OpKind::ALL.iter().map(|_| h.clone()).collect();
-        let r = build(BuildInput {
-            cfg: &cfg,
-            elapsed: Duration::from_millis(100),
-            op_hists: &hists,
-            op_counts: &[1, 1, 1, 1],
-            op_errors: &[0, 0, 0, 0],
-            sched_lag: &h,
-            trees: 1,
-            patterns: 10,
-            push_lag: &h,
-            updates: 1,
-            max_epoch: 1,
-            monotone: true,
-            abandoned: 0,
-            sweep: &[],
-            server_excerpt: None,
-        });
-        let p50 = r.get_path(&["ops", "ingest", "latency_us", "p50"]).and_then(Json::as_f64);
-        let p999 = r.get_path(&["ops", "ingest", "latency_us", "p999"]).and_then(Json::as_f64);
-        assert_eq!(p50, p999, "single sample defines every quantile");
-        assert!(p999.expect("numeric") > 0.0);
+        let r = build_for_tests(&[310], Duration::from_millis(100), &[]);
+        for field in ["p50", "p90", "p99", "p999", "max", "mean"] {
+            let v = r.get_path(&["ops", "ingest", "latency_us", field]).and_then(Json::as_f64);
+            assert_eq!(v, Some(310.0), "single sample defines every {field}");
+        }
         assert!(crate::schema::validate(&r).is_ok());
     }
 

@@ -9,9 +9,11 @@
 //!
 //! * [`Counter`] — a monotone `u64` (relaxed atomic increments);
 //! * [`Gauge`] — a settable `f64` (atomic bit-store, CAS add/sub);
-//! * [`Histogram`] — a fixed-bucket cumulative histogram in the
-//!   Prometheus style (`le`-bounded buckets, sum, count), lock-free on
-//!   the observation path;
+//! * [`Histogram`] — a log-linear duration histogram (64 sub-buckets
+//!   per octave, ≤ 1/64 relative error) with real tail quantiles,
+//!   lock-free on the observation path and exposed in the Prometheus
+//!   style (cumulative `le` buckets at powers of two of nanoseconds,
+//!   sum, count);
 //! * [`Registry`] — a named collection of the above, with optional
 //!   fixed label sets per series, rendered as Prometheus text
 //!   exposition ([`Registry::render_text`]) or JSON
@@ -20,9 +22,9 @@
 //! Design constraints, in priority order:
 //!
 //! 1. **Std-only.**  The workspace builds offline; no external crates.
-//! 2. **Lock-light.**  Recording a measurement (`inc`, `observe`,
-//!    `set`) never takes a lock — only relaxed/CAS atomics — so
-//!    instrumentation is safe inside the sketch-update and
+//! 2. **Lock-light.**  Recording a measurement (`inc`,
+//!    `observe_duration`, `set`) never takes a lock — only relaxed/CAS
+//!    atomics — so instrumentation is safe inside the sketch-update and
 //!    connection-serving hot paths.  The registry's mutex guards only
 //!    registration (startup) and rendering (scrape time).
 //! 3. **No global state.**  A [`Registry`] is an ordinary value; tests
@@ -40,11 +42,7 @@
 //!
 //! let registry = Registry::new();
 //! let trees = registry.counter("ingest_trees_total", "Trees ingested");
-//! let latency = registry.histogram(
-//!     "ingest_seconds",
-//!     "Per-tree ingest latency",
-//!     sketchtree_metrics::LATENCY_BUCKETS,
-//! );
+//! let latency = registry.histogram("ingest_seconds", "Per-tree ingest latency");
 //!
 //! trees.inc();
 //! latency.observe_duration(Duration::from_micros(250));
@@ -52,6 +50,7 @@
 //! let text = registry.render_text();
 //! assert!(text.contains("ingest_trees_total 1"));
 //! assert!(text.contains("ingest_seconds_count 1"));
+//! assert_eq!(latency.quantile(0.99), Some(Duration::from_micros(250)));
 //! ```
 
 #![forbid(unsafe_code)]
@@ -63,5 +62,5 @@ mod histogram;
 mod registry;
 
 pub use counter::{Counter, Gauge};
-pub use histogram::{Histogram, HistogramSnapshot, LATENCY_BUCKETS, SIZE_BUCKETS};
+pub use histogram::{Histogram, HistogramSnapshot};
 pub use registry::Registry;

@@ -83,20 +83,14 @@ impl Registry {
         g
     }
 
-    /// Registers an unlabeled histogram over `bounds`.
-    pub fn histogram(&self, name: &str, help: &str, bounds: &[f64]) -> Arc<Histogram> {
-        self.histogram_with(name, help, bounds, &[])
+    /// Registers an unlabeled histogram.
+    pub fn histogram(&self, name: &str, help: &str) -> Arc<Histogram> {
+        self.histogram_with(name, help, &[])
     }
 
     /// Registers a histogram series with fixed labels.
-    pub fn histogram_with(
-        &self,
-        name: &str,
-        help: &str,
-        bounds: &[f64],
-        labels: &[(&str, &str)],
-    ) -> Arc<Histogram> {
-        let h = Arc::new(Histogram::new(bounds));
+    pub fn histogram_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> Arc<Histogram> {
+        let h = Arc::new(Histogram::new());
         self.push(name, help, labels, Handle::Histogram(h.clone()));
         h
     }
@@ -347,6 +341,7 @@ fn json_str(s: &str) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     #[test]
     fn text_exposition_shapes() {
@@ -355,10 +350,10 @@ mod tests {
         c.add(3);
         let g = r.gauge("active", "Active connections");
         g.set(2.0);
-        let h = r.histogram("latency_seconds", "Latency", &[0.1, 1.0]);
-        h.observe(0.05);
-        h.observe(0.5);
-        h.observe(5.0);
+        let h = r.histogram("latency_seconds", "Latency");
+        h.observe_duration(Duration::from_nanos(1 << 20));
+        h.observe_duration(Duration::from_millis(500));
+        h.observe_duration(Duration::from_secs(5));
         let text = r.render_text();
         assert!(text.contains("# HELP requests_total Requests served"), "{text}");
         assert!(text.contains("# TYPE requests_total counter"), "{text}");
@@ -366,11 +361,14 @@ mod tests {
         assert!(text.contains("# TYPE active gauge"), "{text}");
         assert!(text.contains("active 2"), "{text}");
         assert!(text.contains("# TYPE latency_seconds histogram"), "{text}");
-        assert!(text.contains("latency_seconds_bucket{le=\"0.1\"} 1"), "{text}");
-        assert!(text.contains("latency_seconds_bucket{le=\"1\"} 2"), "{text}");
+        // Edges are powers of two of nanoseconds, rendered in seconds.
+        assert!(text.contains("latency_seconds_bucket{le=\"0.000001024\"} 0"), "{text}");
+        assert!(text.contains("latency_seconds_bucket{le=\"0.001048576\"} 1"), "{text}");
+        assert!(text.contains("latency_seconds_bucket{le=\"0.536870912\"} 2"), "{text}");
+        assert!(text.contains("latency_seconds_bucket{le=\"17.179869184\"} 3"), "{text}");
         assert!(text.contains("latency_seconds_bucket{le=\"+Inf\"} 3"), "{text}");
         assert!(text.contains("latency_seconds_count 3"), "{text}");
-        assert!(text.contains("latency_seconds_sum 5.55"), "{text}");
+        assert!(text.contains("latency_seconds_sum 5.501048576"), "{text}");
     }
 
     #[test]
@@ -408,15 +406,15 @@ mod tests {
         let r = Registry::new();
         r.counter("requests_total", "Requests \"served\"").add(7);
         r.gauge("fill", "Fill ratio").set(0.25);
-        let h = r.histogram_with("lat", "Latency", &[0.5], &[("op", "q")]);
-        h.observe(0.1);
+        let h = r.histogram_with("lat", "Latency", &[("op", "q")]);
+        h.observe_duration(Duration::from_nanos(1000));
         let json = r.render_json();
         assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
         assert!(json.contains("\"requests_total\""), "{json}");
         assert!(json.contains("\"value\":7"), "{json}");
         assert!(json.contains("\"Requests \\\"served\\\"\""), "{json}");
         assert!(json.contains("\"value\":0.25"), "{json}");
-        assert!(json.contains("\"le\":0.5,\"count\":1"), "{json}");
+        assert!(json.contains("\"le\":0.000001024,\"count\":1"), "{json}");
         assert!(json.contains("\"le\":\"+Inf\",\"count\":1"), "{json}");
         // Balanced braces/brackets (cheap well-formedness proxy, since
         // no quoted string here contains braces).

@@ -17,7 +17,7 @@
 use crate::wire::{kind_name, REQUEST_KINDS};
 use sketchtree_core::concurrent::SharedSketchTree;
 use sketchtree_core::metrics::CoreMetrics;
-use sketchtree_metrics::{Counter, Gauge, Histogram, Registry, LATENCY_BUCKETS};
+use sketchtree_metrics::{Counter, Gauge, Histogram, Registry};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -157,7 +157,6 @@ impl ServerMetrics {
             registry.histogram_with(
                 "sktp_request_seconds",
                 "Seconds from request decode to response write, by opcode",
-                LATENCY_BUCKETS,
                 &[("opcode", opcode)],
             )
         };
@@ -191,7 +190,6 @@ impl ServerMetrics {
             checkpoint_seconds: registry.histogram(
                 "sktp_checkpoint_seconds",
                 "Seconds per checkpoint write (serialize + fsync + rename + dir fsync)",
-                LATENCY_BUCKETS,
             ),
             checkpoint_bytes: registry
                 .gauge("sktp_checkpoint_bytes", "Size of the last checkpoint in bytes"),
@@ -222,7 +220,6 @@ impl ServerMetrics {
             wal_fsync_seconds: registry.histogram(
                 "sketchtree_wal_fsync_seconds",
                 "Seconds per WAL append that hit a group-commit boundary (frame write + fdatasync)",
-                LATENCY_BUCKETS,
             ),
             wal_size: registry.gauge(
                 "sketchtree_wal_size_bytes",
@@ -263,12 +260,10 @@ impl ServerMetrics {
             standing_eval_seconds: registry.histogram(
                 "sketchtree_standing_eval_seconds",
                 "Seconds per batch re-evaluating every registered standing query",
-                LATENCY_BUCKETS,
             ),
             push_seconds: registry.histogram(
                 "sketchtree_push_seconds",
                 "Seconds per batch fanning evaluated results out to subscriber queues",
-                LATENCY_BUCKETS,
             ),
             cache_hits: registry.counter(
                 "sketchtree_query_cache_hits_total",

@@ -42,6 +42,14 @@ echo "==> hotpath-parity (allocation-free ingest path == legacy path)"
 # the server's batch path to the specification.
 cargo test --quiet -p sketchtree-core --lib fast_ingest_path_matches_legacy_observer_path
 
+echo "==> alloc-free (warm ingest hot path touches the allocator zero times)"
+# A counting global allocator pins the zero-allocation property of the
+# slab insert path and of the server's batch ingest, bare and with the
+# core metrics attached (so histogram observations on the per-tree path
+# stay allocation-free too).  The tests are #[ignore]d in the sweep above
+# because the allocator hook taxes every test in their binary.
+cargo test --quiet -p sketchtree-bench --test alloc_hotpath -- --ignored
+
 echo "==> synopsis merge parity (shard-split vs sequential ingest)"
 # Merging shard synopses must be byte-identical to sequential ingest
 # with top-k off (and totals-preserving with it on), across random

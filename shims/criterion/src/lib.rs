@@ -6,16 +6,21 @@
 //! `Bencher::iter`, `Throughput`, `BenchmarkId`, `black_box` and the
 //! `criterion_group!` / `criterion_main!` macros.
 //!
-//! Measurement is deliberately simple: warm up briefly, then time a
-//! fixed wall-clock window and report mean ns/iter plus derived
-//! throughput as plain text.  No statistics, plots or baselines — the
-//! numbers are for quick relative comparisons, not publication.  When
+//! Measurement is deliberately simple: warm up briefly, then split a
+//! fixed wall-clock window into [`SAMPLES`] equal-length samples and
+//! report the min, median and median absolute deviation (MAD) of their
+//! ns/iter, plus throughput derived from the median, as plain text.  No
+//! plots or baselines — the numbers are for quick relative comparisons,
+//! with the MAD saying how far to trust them.  When
 //! invoked with `--test` (as `cargo test --benches` does) each benchmark
 //! body runs exactly once so CI verifies the code without paying for
 //! measurement.
 
 use std::fmt;
 use std::time::{Duration, Instant};
+
+/// Samples each measured benchmark's timed window is split into.
+pub const SAMPLES: usize = 20;
 
 /// Opaque value barrier preventing the optimizer from deleting work.
 pub fn black_box<T>(x: T) -> T {
@@ -62,8 +67,33 @@ impl fmt::Display for BenchmarkId {
 /// Times one closure; passed to benchmark bodies.
 pub struct Bencher {
     mode: Mode,
-    /// (iterations, total) captured by [`Bencher::iter`].
-    result: Option<(u64, Duration)>,
+    /// Captured by [`Bencher::iter`] / [`Bencher::iter_with_setup`].
+    result: Option<Measurement>,
+}
+
+/// What one benchmark run captured.
+struct Measurement {
+    /// Iterations per sample.
+    iters: u64,
+    /// ns/iter of each sample; empty in test mode.
+    samples: Vec<f64>,
+}
+
+impl Measurement {
+    fn once() -> Self {
+        Self { iters: 1, samples: Vec::new() }
+    }
+}
+
+/// Iterations per sample so that [`SAMPLES`] samples of a body taking
+/// `per_iter` fill `budget`, capped at `cap`.
+fn iters_per_sample(budget: Duration, per_iter: Duration, cap: u64) -> u64 {
+    let total = budget.as_nanos() / per_iter.as_nanos().max(1);
+    ((total / SAMPLES as u128) as u64).clamp(1, cap)
+}
+
+fn ns_per_iter(elapsed: Duration, iters: u64) -> f64 {
+    elapsed.as_nanos() as f64 / iters as f64
 }
 
 #[derive(Clone, Copy)]
@@ -75,16 +105,16 @@ enum Mode {
 }
 
 impl Bencher {
-    /// Calls `routine` repeatedly and records mean time per call.
+    /// Calls `routine` repeatedly and records time per call, per sample.
     pub fn iter<O>(&mut self, mut routine: impl FnMut() -> O) {
         match self.mode {
             Mode::Test => {
                 black_box(routine());
-                self.result = Some((1, Duration::ZERO));
+                self.result = Some(Measurement::once());
             }
             Mode::Measure(budget) => {
                 // Warm-up: run until ~10% of the budget is spent, counting
-                // how many iterations fit so the timed loop can batch.
+                // how many iterations fit so each sample can batch.
                 let warm_budget = budget / 10 + Duration::from_millis(1);
                 let warm_start = Instant::now();
                 let mut warm_iters = 0u64;
@@ -93,12 +123,17 @@ impl Bencher {
                     warm_iters += 1;
                 }
                 let per_iter = warm_start.elapsed() / warm_iters.max(1) as u32;
-                let target = ((budget.as_nanos() / per_iter.as_nanos().max(1)) as u64).clamp(1, 1 << 24);
-                let start = Instant::now();
-                for _ in 0..target {
-                    black_box(routine());
-                }
-                self.result = Some((target, start.elapsed()));
+                let iters = iters_per_sample(budget, per_iter, 1 << 20);
+                let samples = (0..SAMPLES)
+                    .map(|_| {
+                        let start = Instant::now();
+                        for _ in 0..iters {
+                            black_box(routine());
+                        }
+                        ns_per_iter(start.elapsed(), iters)
+                    })
+                    .collect();
+                self.result = Some(Measurement { iters, samples });
             }
         }
     }
@@ -113,23 +148,27 @@ impl Bencher {
         match self.mode {
             Mode::Test => {
                 black_box(routine(setup()));
-                self.result = Some((1, Duration::ZERO));
+                self.result = Some(Measurement::once());
             }
             Mode::Measure(budget) => {
-                // Warm up once to size the timed loop, then time only the
+                // Warm up once to size the samples, then time only the
                 // routine, excluding setup, accumulating across calls.
                 let warm_start = Instant::now();
                 black_box(routine(setup()));
-                let per_iter = warm_start.elapsed();
-                let target = ((budget.as_nanos() / per_iter.as_nanos().max(1)) as u64).clamp(1, 1 << 16);
-                let mut total = Duration::ZERO;
-                for _ in 0..target {
-                    let input = setup();
-                    let start = Instant::now();
-                    black_box(routine(input));
-                    total += start.elapsed();
-                }
-                self.result = Some((target, total));
+                let iters = iters_per_sample(budget, warm_start.elapsed(), 1 << 12);
+                let samples = (0..SAMPLES)
+                    .map(|_| {
+                        let mut total = Duration::ZERO;
+                        for _ in 0..iters {
+                            let input = setup();
+                            let start = Instant::now();
+                            black_box(routine(input));
+                            total += start.elapsed();
+                        }
+                        ns_per_iter(total, iters)
+                    })
+                    .collect();
+                self.result = Some(Measurement { iters, samples });
             }
         }
     }
@@ -225,25 +264,56 @@ impl BenchmarkGroup<'_> {
 fn run_one(mode: Mode, label: &str, throughput: Option<Throughput>, mut f: impl FnMut(&mut Bencher)) {
     let mut bencher = Bencher { mode, result: None };
     f(&mut bencher);
-    let Some((iters, total)) = bencher.result else {
+    let Some(Measurement { iters, samples }) = bencher.result else {
         println!("{label:<50} (no iter() call)");
         return;
     };
-    match mode {
-        Mode::Test => println!("{label:<50} ok (test mode, 1 iteration)"),
-        Mode::Measure(_) => {
-            let ns = total.as_nanos() as f64 / iters as f64;
-            let rate = throughput.map(|t| match t {
-                Throughput::Elements(n) => format!("  {:>12.0} elem/s", n as f64 / (ns * 1e-9)),
-                Throughput::Bytes(n) => {
-                    format!("  {:>12.1} MiB/s", n as f64 / (ns * 1e-9) / (1024.0 * 1024.0))
-                }
-            });
-            println!(
-                "{label:<50} {ns:>14.1} ns/iter ({iters} iters){}",
-                rate.unwrap_or_default()
-            );
+    let Some(stats) = Stats::of(samples) else {
+        println!("{label:<50} ok (test mode, 1 iteration)");
+        return;
+    };
+    let ns = stats.median;
+    let rate = throughput.map(|t| match t {
+        Throughput::Elements(n) => format!("  {:>12.0} elem/s", n as f64 / (ns * 1e-9)),
+        Throughput::Bytes(n) => {
+            format!("  {:>12.1} MiB/s", n as f64 / (ns * 1e-9) / (1024.0 * 1024.0))
         }
+    });
+    println!(
+        "{label:<50} min {:>12.1}  median {ns:>12.1}  MAD {:>9.1} ns/iter ({SAMPLES} x {iters} iters){}",
+        stats.min,
+        stats.mad,
+        rate.unwrap_or_default()
+    );
+}
+
+/// Summary statistics of per-sample ns/iter.
+#[derive(Debug, PartialEq)]
+struct Stats {
+    min: f64,
+    median: f64,
+    /// Median absolute deviation from the median.
+    mad: f64,
+}
+
+impl Stats {
+    /// `None` for no samples (test mode).
+    fn of(mut samples: Vec<f64>) -> Option<Self> {
+        let min = samples.iter().copied().reduce(f64::min)?;
+        let mid = median(&mut samples);
+        let mut deviations: Vec<f64> = samples.iter().map(|s| (s - mid).abs()).collect();
+        Some(Self { min, median: mid, mad: median(&mut deviations) })
+    }
+}
+
+/// Median of a non-empty slice (mean of the middle two for even lengths).
+fn median(v: &mut [f64]) -> f64 {
+    v.sort_by(f64::total_cmp);
+    let mid = v.len() / 2;
+    if v.len() % 2 == 1 {
+        v[mid]
+    } else {
+        (v[mid - 1] + v[mid]) / 2.0
     }
 }
 
@@ -283,10 +353,37 @@ mod tests {
             count += 1;
             count
         });
-        let (iters, total) = b.result.expect("iter ran");
-        assert!(iters >= 1);
-        assert!(count >= iters);
-        assert!(total > Duration::ZERO);
+        let m = b.result.expect("iter ran");
+        assert!(m.iters >= 1);
+        assert_eq!(m.samples.len(), SAMPLES);
+        assert!(count >= m.iters * SAMPLES as u64);
+        assert!(m.samples.iter().all(|&ns| ns >= 0.0));
+    }
+
+    #[test]
+    fn test_mode_runs_the_body_once() {
+        let mut b = Bencher {
+            mode: Mode::Test,
+            result: None,
+        };
+        let mut count = 0u64;
+        b.iter(|| count += 1);
+        b.iter_with_setup(|| 1u64, |x| count += x);
+        assert_eq!(count, 2);
+        let m = b.result.expect("iter ran");
+        assert!(m.samples.is_empty());
+        assert_eq!(Stats::of(m.samples), None);
+    }
+
+    #[test]
+    fn stats_are_robust_to_one_outlier() {
+        let s = Stats::of(vec![10.0, 12.0, 11.0, 1000.0, 9.0]).expect("samples");
+        assert_eq!(s.min, 9.0);
+        assert_eq!(s.median, 11.0);
+        // Deviations {1, 1, 0, 989, 2} → median 1.
+        assert_eq!(s.mad, 1.0);
+        let even = Stats::of(vec![4.0, 1.0, 3.0, 2.0]).expect("samples");
+        assert_eq!((even.min, even.median, even.mad), (1.0, 2.5, 1.0));
     }
 
     #[test]
