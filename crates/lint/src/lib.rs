@@ -11,7 +11,6 @@
 //! | `L1` | panic-freedom | `unwrap`/`expect`/`panic!`/indexing in server, sketch, core hot paths |
 //! | `L2` | cast-safety | integer `as` casts in wire.rs, snapshot.rs, prufer.rs, sketch |
 //! | `L3` | arithmetic discipline | bare/compound arithmetic on sketch counters |
-//! | `L4` | lock discipline | nested acquisition, guard-held re-acquisition, I/O under lock |
 //! | `L5` | wire exhaustiveness | every opcode has an encode and a decode arm |
 //!
 //! Stage two builds a [`index::WorkspaceIndex`] — a symbol table, a
@@ -21,10 +20,13 @@
 //!
 //! | rule | pass | polices |
 //! |------|------|---------|
-//! | `L6` | lock order | cross-file lock-order cycles and guard-held re-acquisition through helpers |
+//! | `L6` | lock order | cross-file lock-order cycles and guard-held re-acquisition, directly or through helpers |
 //! | `L7` | blocking under lock | I/O, `recv`, and sleeps reachable while any guard is live |
 //! | `L8` | epoch/determinism | sketch mutations must bump the epoch; hash iteration must not feed deterministic output |
 //! | `L9` | spec drift | wire-protocol and observability docs must match wire.rs opcodes and registered metrics |
+//!
+//! Lock policy lives in L6/L7 alone; the id `L4` (a per-file lock pass
+//! they subsume) is retired and not reused.
 //!
 //! A finding is excused — recorded, but not gate-failing — by a
 //! same-line or preceding-line comment marker:
@@ -33,10 +35,11 @@
 //! // lint:allow(L1, reason = "index < s1*s2 by construction")
 //! ```
 //!
-//! A marker without a reason suppresses nothing and is itself reported
-//! under rule `A0`.  [`analyze_workspace`] is the whole API; the
-//! `sketchtree-lint` binary and the tier-1 `lint_clean` test are thin
-//! wrappers over it.
+//! A marker without a reason, or one naming a rule no pass reports (a
+//! retired or misspelled id), is itself reported under rule `A0`; a
+//! reasonless marker also suppresses nothing.  [`analyze_workspace`] is
+//! the whole API; the `sketchtree-lint` binary and the tier-1
+//! `lint_clean` test are thin wrappers over it.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -219,19 +222,30 @@ pub fn analyze_file(file: &SourceFile, passes: &[Box<dyn passes::Pass>], report:
             allowed,
         });
     }
-    // Reasonless markers are findings in their own right.
+    // Reasonless markers, and markers naming a rule no pass reports,
+    // are findings in their own right.
+    let known = passes::known_rules();
     for m in &file.allows {
-        if m.reason.is_none() {
+        let mut a0 = |message: String| {
             report.findings.push(Finding {
                 rule: "A0",
                 file: file.rel.clone(),
                 line: m.line,
-                message: format!(
-                    "lint:allow({}) without a reason; every allow must say why",
-                    m.rules.join(", ")
-                ),
+                message,
                 allowed: None,
             });
+        };
+        if m.reason.is_none() {
+            a0(format!(
+                "lint:allow({}) without a reason; every allow must say why",
+                m.rules.join(", ")
+            ));
+        }
+        for rule in m.rules.iter().filter(|r| !known.contains(&r.as_str())) {
+            a0(format!(
+                "lint:allow names `{rule}`, which no pass reports (retired or misspelled id); \
+                 it excuses nothing"
+            ));
         }
     }
 }

@@ -2,11 +2,12 @@
 //!
 //! A lock held across I/O or an unbounded wait turns one slow peer into
 //! a server-wide stall: every thread queueing on that lock inherits the
-//! disk's or the network's latency.  L4 polices the lexical shape in
-//! `server.rs` only; this pass uses the workspace index's guard spans
-//! and one-level call resolution, so it also catches the PR 6 pusher
-//! shape — a frame written through a mutex shared with the reply path —
-//! and blocking work hidden one helper call below the acquisition.
+//! disk's or the network's latency.  This pass uses the workspace
+//! index's guard spans and one-level call resolution, so it catches the
+//! direct shape (file I/O under the checkpoint mutex), the pusher shape
+//! — a frame written through a mutex shared with the reply path — and
+//! blocking work hidden one helper call below the acquisition.  Each
+//! blocking call is reported once per live guard.
 //!
 //! Flagged while a guard is live:
 //! * stream/file methods — `write_all`, `flush`, `sync_all`,
@@ -123,9 +124,13 @@ impl WorkspacePass for BlockingUnderLock {
 /// `(token, line, description)` of every blocking call in `f`'s body.
 fn blocking_sites(file: &SourceFile, f: &FnInfo) -> Vec<(usize, u32, String)> {
     let mut out = Vec::new();
+    // The segment after the last matched `path::` — in
+    // `std::fs::File::create(…)` the `File` that continues the `fs::File`
+    // match is the same call, not a second one.
+    let mut matched_segment = None;
     for i in f.body.clone() {
         let Some(tok) = file.code_token(i) else { continue };
-        if tok.kind != TokenKind::Ident {
+        if tok.kind != TokenKind::Ident || matched_segment == Some(i) {
             continue;
         }
         let name = tok.text.as_str();
@@ -142,6 +147,7 @@ fn blocking_sites(file: &SourceFile, f: &FnInfo) -> Vec<(usize, u32, String)> {
                     let blocks = name != "thread" || ft.text == "sleep";
                     if ft.kind == TokenKind::Ident && callish && blocks {
                         out.push((i, tok.line, format!("`{}::{}`", name, ft.text)));
+                        matched_segment = Some(fi);
                         continue;
                     }
                 }
@@ -237,6 +243,28 @@ mod tests {
             "fn f(m: &Mutex<T>) { let g = m.lock(); let v = g.n(); drop(g); fs::write(p, v); }",
         )]);
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn io_under_a_guard_is_flagged_across_the_server_crate() {
+        let src = "fn f(&self) { let g = self.ck.lock.lock(); fs::write(p, b); }";
+        for rel in ["crates/server/src/server.rs", "crates/server/src/wire.rs"] {
+            let out = run(&[(rel, src)]);
+            assert_eq!(out.len(), 1, "{rel}: {out:?}");
+            assert!(out[0].message.contains("fs::write"), "{out:?}");
+        }
+    }
+
+    #[test]
+    fn a_chained_path_is_one_blocking_call() {
+        // `fs::File` and `File::create` are the same call: one guard, one
+        // finding.
+        let out = run(&[(
+            "crates/server/src/server.rs",
+            "fn f(m: &Mutex<T>) { let g = m.lock(); let f = std::fs::File::create(p); }",
+        )]);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("fs::File"), "{out:?}");
     }
 
     #[test]

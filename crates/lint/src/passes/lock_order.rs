@@ -1,9 +1,9 @@
 //! L6 — global lock-order discipline.
 //!
-//! L4 sees one function at a time; a deadlock needs two *paths* that
-//! acquire the same locks in opposite orders, and those paths routinely
-//! span files (the PR 6 push path threads `server.rs` → `subs.rs` →
-//! `standing`).  This pass walks the [`Workspace`] index:
+//! A deadlock needs two *paths* that acquire the same locks in opposite
+//! orders, and those paths routinely span files (the push path threads
+//! `server.rs` → `subs.rs` → `standing`), or one path that takes a lock
+//! it already holds.  This pass walks the [`Workspace`] index:
 //!
 //! 1. every acquisition nested inside another guard's live span — in the
 //!    same body or one helper call away — contributes a directed edge
@@ -14,6 +14,11 @@
 //! 3. any cycle in the resulting digraph is reported on every edge that
 //!    participates, naming the full cycle, so each site can be fixed or
 //!    carry its own reasoned allow.
+//!
+//! Nesting two *different* locks is not a finding on its own: it only
+//! records the order edge, and becomes a finding when another path
+//! closes a cycle through it.  Nor does any file scope apply: every
+//! non-test function in the workspace contributes edges.
 //!
 //! Lock identity is receiver-based (see [`crate::index`]): the analysis
 //! is exact when each lock is acquired through one accessor, which is
@@ -257,15 +262,71 @@ mod tests {
 
     #[test]
     fn block_scoped_guard_does_not_leak_into_sibling_code() {
-        // The PR 4 ingest shape: a read guard scoped to its own block,
-        // then a write acquisition after the block closes.  L4's lexical
-        // heuristic needed an allow for this; span tracking does not.
+        // The ingest shape: a read guard scoped to its own block, then a
+        // write acquisition after the block closes.  Span tracking sees
+        // the guard die at the block's `}`.
         let out = run(&[(
             "crates/a/src/x.rs",
             "impl A { fn f(&self) { let v = { let g = self.inner.read(); g.n() }; \
              let w = self.inner.write(); } }",
         )]);
         assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn nested_same_lock_in_a_closure_span_is_self_deadlock() {
+        // Closure-style wrappers (`shared.write(|s| …)`) hold the lock
+        // for exactly the argument span.
+        let out = run(&[(
+            "crates/server/src/x.rs",
+            "impl S { fn f(&self) { self.shared.write(|s| { self.shared.read(|t| t.n()) }); } }",
+        )]);
+        assert_eq!(out.len(), 1, "{out:?}");
+        assert!(out[0].message.contains("re-acquired"), "{out:?}");
+    }
+
+    #[test]
+    fn guard_then_same_receiver_is_self_deadlock() {
+        // The second case is the batch-ingest path, which alternates the
+        // synopsis' shared and exclusive locks: misuse there deadlocks
+        // every ingesting connection at once.
+        for (rel, src) in [
+            (
+                "crates/server/src/x.rs",
+                "impl S { fn f(&self) { let g = self.map.read(); let n = g.len(); let h = self.map.read(); } }",
+            ),
+            (
+                "crates/core/src/concurrent.rs",
+                "impl Shared { fn f(&self) { let g = self.inner.read(); let h = self.inner.write(); } }",
+            ),
+        ] {
+            let out = run(&[(rel, src)]);
+            assert_eq!(out.len(), 1, "{out:?}");
+            assert!(out[0].message.contains("re-acquired"), "{out:?}");
+        }
+    }
+
+    #[test]
+    fn sequential_closure_reads_are_clean() {
+        // Closure-style wrappers release at the call's `)`; two in a row
+        // (even let-bound) never overlap.
+        let out = run(&[(
+            "crates/server/src/x.rs",
+            "impl S { fn f(&self) { let a = self.shared.read(|s| s.n()); let b = self.shared.read(|s| s.m()); } }",
+        )]);
+        assert!(out.is_empty(), "{out:?}");
+    }
+
+    #[test]
+    fn nested_distinct_locks_are_an_order_edge_not_a_finding() {
+        // Deliberate policy: taking a second, different lock under a
+        // guard only records the edge `a → b`; it is a finding when some
+        // other path closes a cycle through it.
+        let nested = "impl S { fn f(&self) { self.a.write(|s| self.b.read(|t| t.n())); } }";
+        assert!(run(&[("crates/server/src/x.rs", nested)]).is_empty());
+        let reversed = "impl S { fn r(&self) { let g = self.b.lock(); self.a.read(|s| s.n()); } }";
+        let out = run(&[("crates/server/src/x.rs", nested), ("crates/server/src/y.rs", reversed)]);
+        assert_eq!(out.iter().filter(|f| f.message.contains("cycle")).count(), 2, "{out:?}");
     }
 
     #[test]

@@ -1,10 +1,12 @@
-//! The pass framework and the five shipped passes.
+//! The pass framework and the shipped passes: four per-file passes
+//! (L1–L3, L5) and four graph-aware workspace passes (L6–L9).
 //!
-//! A pass is a pure function over one annotated [`SourceFile`]: it may
-//! not do I/O and may not see other files (L5, which cross-checks
+//! A per-file pass is a pure function over one annotated [`SourceFile`]:
+//! it may not do I/O and may not see other files (L5, which cross-checks
 //! opcode tables, still only needs `wire.rs` itself).  Each pass
 //! declares which workspace-relative paths it polices; scoping is part
-//! of the rule, not of the driver.
+//! of the rule, not of the driver.  Lock policy belongs to the
+//! workspace passes L6 (lock order) and L7 (blocking under a guard).
 
 use crate::index::WorkspaceIndex;
 use crate::source::SourceFile;
@@ -14,7 +16,6 @@ pub mod blocking;
 pub mod cast_safety;
 pub mod epoch;
 pub mod lock_order;
-pub mod locks;
 pub mod panic_free;
 pub mod spec_drift;
 pub mod wire_exhaustive;
@@ -22,7 +23,7 @@ pub mod wire_exhaustive;
 /// A finding before allow-marker matching: rule, line, message.
 #[derive(Debug, Clone)]
 pub struct RawFinding {
-    /// Rule id (`"L1"` … `"L5"`).
+    /// Rule id (`"L1"`–`"L3"` or `"L5"`).
     pub rule: &'static str,
     /// 1-based source line.
     pub line: u32,
@@ -40,13 +41,12 @@ pub trait Pass {
     fn run(&self, file: &SourceFile, out: &mut Vec<RawFinding>);
 }
 
-/// The default per-file pass roster, L1–L5.
+/// The default per-file pass roster: L1–L3 and L5.
 pub fn default_passes() -> Vec<Box<dyn Pass>> {
     vec![
         Box::new(panic_free::PanicFree),
         Box::new(cast_safety::CastSafety),
         Box::new(arith::ArithDiscipline),
-        Box::new(locks::LockDiscipline),
         Box::new(wire_exhaustive::WireExhaustive),
     ]
 }
@@ -107,6 +107,13 @@ pub fn default_workspace_passes() -> Vec<Box<dyn WorkspacePass>> {
         Box::new(epoch::EpochDiscipline),
         Box::new(spec_drift::SpecDrift),
     ]
+}
+
+/// Every rule id some pass in the two default rosters reports — the ids
+/// a `lint:allow` marker may name.
+pub fn known_rules() -> Vec<&'static str> {
+    let per_file = default_passes().into_iter().map(|p| p.rule());
+    per_file.chain(default_workspace_passes().into_iter().map(|p| p.rule())).collect()
 }
 
 /// Rust keywords that can directly precede `[` without it being an index

@@ -1,5 +1,6 @@
 //! Findings and machine-readable report rendering.
 
+use sketchtree_metrics::json::Json;
 use std::fmt::Write as _;
 
 /// One finding from one pass at one source location.
@@ -78,55 +79,33 @@ impl Report {
         out
     }
 
-    /// Machine-readable JSON rendering (no dependencies: hand-escaped).
+    /// Machine-readable JSON rendering, two-space indented: `findings`
+    /// (each with `rule`, `file`, `line`, `message`, and `allowed` — the
+    /// reason, or `null`), then the `files_scanned`, `undocumented` and
+    /// `allowed` counts and the `clean` verdict.
     pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"findings\": [\n");
-        for (i, f) in self.findings.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"rule\": {}, \"file\": {}, \"line\": {}, \"message\": {}, \"allowed\": {}}}",
-                json_str(f.rule),
-                json_str(&f.file),
-                f.line,
-                json_str(&f.message),
-                match &f.allowed {
-                    Some(r) => json_str(r),
-                    None => "null".to_string(),
-                }
-            );
-            out.push_str(if i + 1 < self.findings.len() { ",\n" } else { "\n" });
-        }
-        let _ = write!(
-            out,
-            "  ],\n  \"files_scanned\": {},\n  \"undocumented\": {},\n  \"allowed\": {},\n  \"clean\": {}\n}}\n",
-            self.files_scanned.len(),
-            self.undocumented().count(),
-            self.allowed().count(),
-            self.is_clean()
-        );
-        out
+        let findings = self
+            .findings
+            .iter()
+            .map(|f| {
+                let mut o = Json::obj();
+                o.set("rule", Json::Str(f.rule.to_string()))
+                    .set("file", Json::Str(f.file.clone()))
+                    .set("line", Json::Num(f64::from(f.line)))
+                    .set("message", Json::Str(f.message.clone()))
+                    .set("allowed", f.allowed.clone().map_or(Json::Null, Json::Str));
+                o
+            })
+            .collect();
+        let count = |n: usize| Json::Num(n as f64);
+        let mut doc = Json::obj();
+        doc.set("findings", Json::Arr(findings))
+            .set("files_scanned", count(self.files_scanned.len()))
+            .set("undocumented", count(self.undocumented().count()))
+            .set("allowed", count(self.allowed().count()))
+            .set("clean", Json::Bool(self.is_clean()));
+        doc.render_pretty()
     }
-}
-
-/// JSON string escaping per RFC 8259.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -161,6 +140,14 @@ mod tests {
         r.findings.push(finding("L1", None));
         let j = r.to_json();
         assert!(j.contains("\\\"quotes\\\""), "{j}");
-        assert!(j.contains("\"clean\": false"));
+        let doc = Json::parse(&j).expect("well-formed JSON");
+        assert_eq!(doc.get("clean"), Some(&Json::Bool(false)));
+        let Some(Json::Arr(findings)) = doc.get("findings") else { panic!("{j}") };
+        assert_eq!(findings.len(), 1);
+        assert_eq!(
+            findings[0].get("message").and_then(Json::as_str),
+            Some("msg with \"quotes\"")
+        );
+        assert_eq!(findings[0].get("allowed"), Some(&Json::Null));
     }
 }

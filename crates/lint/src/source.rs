@@ -9,11 +9,12 @@
 //!   scanning from the `fn` keyword to its body's matching brace.  Used
 //!   by passes with per-function rules (arithmetic scoping, lock
 //!   discipline, wire exhaustiveness).
-//! * **allow markers** — `lint:allow(RULE, reason = "…")` comments, the
-//!   escape hatch.  A marker suppresses findings of the named rule(s) on
-//!   its own line or the following line; the suppression is still
-//!   *recorded* in the report, and a marker without a reason is itself a
-//!   finding (rule `A0`).
+//! * **allow markers** — `lint:allow` comments naming rule ids and a
+//!   `reason = "…"`, the escape hatch.  A marker suppresses findings of
+//!   the named rule(s) on its own line or the following line; the
+//!   suppression is still *recorded* in the report, and a marker without
+//!   a reason, or naming a rule no pass reports, is itself a finding
+//!   (rule `A0`).
 
 use crate::lexer::{lex, Token, TokenKind};
 

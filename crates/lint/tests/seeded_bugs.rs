@@ -72,32 +72,6 @@ fn l3_fires_on_compound_and_bare_update_arithmetic() {
 }
 
 #[test]
-fn l4_fires_on_guard_held_reacquisition() {
-    let report = analyze(
-        "crates/server/src/seeded.rs",
-        "fn f(&self) { let g = self.inner.read(); let h = self.inner.write(); }",
-    );
-    assert!(
-        undocumented_rules(&report).contains(&"L4"),
-        "{report:?}"
-    );
-}
-
-#[test]
-fn l4_fires_on_io_under_lock_in_server() {
-    let report = analyze(
-        "crates/server/src/server.rs",
-        "fn f(&self) { let g = self.ck.lock(); fs::write(p, b).ok(); }",
-    );
-    assert!(
-        report
-            .undocumented()
-            .any(|f| f.rule == "L4" && f.message.contains("fs::write")),
-        "{report:?}"
-    );
-}
-
-#[test]
 fn l5_fires_on_opcode_missing_from_decode() {
     let report = analyze(
         "crates/server/src/wire.rs",
@@ -133,6 +107,24 @@ fn reasoned_allow_suppresses_but_is_recorded() {
     assert_eq!(allowed.len(), 1, "{report:?}");
     assert_eq!(allowed[0].rule, "L1");
     assert_eq!(allowed[0].allowed.as_deref(), Some("seeded self-test"));
+}
+
+#[test]
+fn a0_fires_on_an_allow_for_an_unknown_rule() {
+    // A retired id (L4) or a typo excuses nothing and must not linger;
+    // ids from either roster, per-file or workspace, are known.
+    let retired = "L4";
+    let src = format!(
+        "fn f(v: &[u64]) -> usize {{\n    // lint:allow({retired}, L7, reason = \"stale id\")\n    v.len()\n}}"
+    );
+    let report = analyze("crates/sketch/src/seeded.rs", &src);
+    let a0: Vec<_> = report.undocumented().filter(|f| f.rule == "A0").collect();
+    assert_eq!(a0.len(), 1, "{report:?}");
+    assert_eq!(report.findings.len(), 1, "{report:?}");
+    assert!(a0[0].message.contains("`L4`"), "{report:?}");
+    let src = "fn f(v: &[u64]) -> u64 {\n    // lint:allow(L1, L7, reason = \"known ids\")\n    v[0]\n}";
+    let report = analyze("crates/sketch/src/seeded.rs", src);
+    assert!(report.is_clean(), "{report:?}");
 }
 
 #[test]
@@ -199,20 +191,42 @@ fn l6_fires_on_guard_held_reacquisition_through_a_helper() {
 }
 
 #[test]
-fn l7_fires_on_seeded_io_under_a_held_guard() {
+fn l6_fires_on_guard_held_reacquisition() {
     let report = analyze_ws(
         &[(
             "crates/server/src/seeded.rs",
-            "fn save(m: &Mutex<T>) { let g = m.lock().unwrap_or_else(|e| e.into_inner()); fs::write(p, b).ok(); }",
+            "impl S { fn f(&self) { let g = self.inner.read(); let h = self.inner.write(); } }",
         )],
         &[],
     );
     assert!(
         report
             .undocumented()
-            .any(|f| f.rule == "L7" && f.message.contains("fs::write")),
+            .any(|f| f.rule == "L6" && f.message.contains("re-acquired")),
         "{report:?}"
     );
+}
+
+#[test]
+fn l7_fires_on_seeded_io_under_a_held_guard() {
+    for (rel, src) in [
+        (
+            "crates/server/src/seeded.rs",
+            "fn save(m: &Mutex<T>) { let g = m.lock().unwrap_or_else(|e| e.into_inner()); fs::write(p, b).ok(); }",
+        ),
+        (
+            "crates/server/src/server.rs",
+            "fn f(&self) { let g = self.ck.lock(); fs::write(p, b).ok(); }",
+        ),
+    ] {
+        let report = analyze_ws(&[(rel, src)], &[]);
+        assert!(
+            report
+                .undocumented()
+                .any(|f| f.rule == "L7" && f.message.contains("fs::write")),
+            "{report:?}"
+        );
+    }
 }
 
 #[test]

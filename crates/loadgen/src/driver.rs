@@ -33,7 +33,7 @@
 //! its percentiles from those handles, and a long-running drive can be
 //! scraped like any other component.
 
-use crate::json::Json;
+use sketchtree_metrics::json::Json;
 use crate::report;
 use crate::scenario::{Mix, OpKind, Scenario, Workload};
 use sketchtree_metrics::{Counter, Histogram, Registry};

@@ -17,8 +17,8 @@
 //!   process), op mix, and deterministic workload preparation.
 //! * [`driver`] — the open-loop driver itself.
 //! * [`report`] / [`schema`] — report emission and the validator the
-//!   `loadgen-smoke` gate runs.
-//! * [`json`] — the minimal JSON tree both of those share.
+//!   `loadgen-smoke` gate runs; both work on a
+//!   [`sketchtree_metrics::json::Json`] tree.
 //!
 //! The binary is a thin wrapper over [`run_cli`], which the `sketchtree
 //! loadgen` subcommand also calls, so both front-ends accept the same
@@ -29,7 +29,6 @@
 #![warn(clippy::all)]
 
 pub mod driver;
-pub mod json;
 pub mod report;
 pub mod scenario;
 pub mod schema;
@@ -37,6 +36,7 @@ pub mod schema;
 pub use driver::{run, RunConfig, RunOutput};
 pub use scenario::{Arrival, DataShape, Mix, OpKind, Scenario};
 
+use sketchtree_metrics::json::Json;
 use std::io::Write;
 use std::time::Duration;
 
@@ -181,8 +181,7 @@ pub fn run_cli(args: &[String], out: &mut dyn Write) -> Result<(), String> {
 }
 
 /// Renders the post-run one-screen summary.
-fn summarize(report: &json::Json, path: &str) -> String {
-    use json::Json;
+fn summarize(report: &Json, path: &str) -> String {
     let mut s = String::new();
     let get = |p: &[&str]| report.get_path(p).and_then(Json::as_f64).unwrap_or(0.0);
     for kind in OpKind::ALL {

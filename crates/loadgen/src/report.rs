@@ -7,7 +7,7 @@
 //! diff cleanly across PRs.
 
 use crate::driver::RunConfig;
-use crate::json::Json;
+use sketchtree_metrics::json::Json;
 use crate::scenario::OpKind;
 use crate::schema;
 use sketchtree_metrics::{Counter, Histogram};

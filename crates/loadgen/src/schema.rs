@@ -8,7 +8,7 @@
 //! `loadgen-smoke` gate in scripts/check.sh runs this over a fresh run's
 //! output.
 
-use crate::json::Json;
+use sketchtree_metrics::json::Json;
 
 /// `schema` field every report must carry.
 pub const SCHEMA_NAME: &str = "sketchtree-loadgen-report";

@@ -1,10 +1,14 @@
-//! Minimal JSON tree: build, render, parse.
+//! The workspace's JSON writer and reader: a minimal [`Json`] tree
+//! (build, render, parse), the string escaper [`write_str`] and the
+//! number formatter [`fmt_f64`].
 //!
-//! The workspace is offline (no serde); the snapshot and metrics layers
-//! already hand-roll their encodings, and the BENCH report follows suit.
+//! The workspace is offline (no serde), so every JSON surface goes
+//! through this module: [`crate::Registry::render_json`] streams its
+//! exposition with [`write_str`] and [`fmt_f64`], and the load
+//! harness's BENCH reports and the lint report build a [`Json`] tree.
 //! Objects keep **insertion order** when rendering so reports diff
-//! cleanly PR-over-PR, and lookup is linear — report objects have tens
-//! of keys, not thousands.
+//! cleanly change over change, and lookup is linear — report objects
+//! have tens of keys, not thousands.
 
 use std::fmt::Write as _;
 
@@ -110,7 +114,7 @@ impl Json {
             Json::Null => out.push_str("null"),
             Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
             Json::Num(n) => out.push_str(&fmt_f64(*n)),
-            Json::Str(s) => render_string(out, s),
+            Json::Str(s) => write_str(out, s),
             Json::Arr(items) => {
                 if items.is_empty() {
                     out.push_str("[]");
@@ -141,7 +145,7 @@ impl Json {
                     }
                     out.push_str(nl);
                     out.push_str(&pad);
-                    render_string(out, k);
+                    write_str(out, k);
                     out.push_str(colon);
                     v.render_into(out, indent, depth + 1);
                 }
@@ -166,23 +170,21 @@ impl Json {
     }
 }
 
-/// Integral floats render without a fraction (`12`, not `12.0`),
-/// everything else through Rust's shortest round-trip `{}` formatting.
-/// Non-finite values have no JSON spelling and render as `null`.
+/// A JSON number through Rust's shortest round-trip `{}` formatting,
+/// which already prints integral floats without a fraction (`12`, not
+/// `12.0`).  Non-finite values have no JSON spelling and render as
+/// `null`.
 pub fn fmt_f64(n: f64) -> String {
-    if !n.is_finite() {
-        return "null".to_string();
-    }
-    if n == n.trunc() && n.abs() < 9.0e15 {
-        let mut s = String::new();
-        let _ = write!(s, "{}", n as i64);
-        s
-    } else {
+    if n.is_finite() {
         format!("{n}")
+    } else {
+        "null".to_string()
     }
 }
 
-fn render_string(out: &mut String, s: &str) {
+/// Appends `s` to `out` as a JSON string literal (RFC 8259 escaping:
+/// quote, backslash, and every control character).
+pub fn write_str(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -413,7 +415,12 @@ mod tests {
         assert_eq!(fmt_f64(42.0), "42");
         assert_eq!(fmt_f64(-7.0), "-7");
         assert_eq!(fmt_f64(2.5), "2.5");
+        assert_eq!(fmt_f64(0.0), "0");
+        assert_eq!(fmt_f64(1e15), "1000000000000000");
+        assert_eq!(fmt_f64(9.5e15), "9500000000000000");
+        assert_eq!(fmt_f64(1e20), "100000000000000000000");
         assert_eq!(fmt_f64(f64::NAN), "null");
+        assert_eq!(fmt_f64(f64::NEG_INFINITY), "null");
     }
 
     #[test]

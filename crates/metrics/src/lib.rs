@@ -17,7 +17,11 @@
 //! * [`Registry`] — a named collection of the above, with optional
 //!   fixed label sets per series, rendered as Prometheus text
 //!   exposition ([`Registry::render_text`]) or JSON
-//!   ([`Registry::render_json`]).
+//!   ([`Registry::render_json`]);
+//! * [`json`] — the workspace's one JSON writer and reader: a minimal
+//!   [`json::Json`] tree, its string escaper and number formatter.  The
+//!   registry's JSON exposition, the load harness's BENCH reports and
+//!   the lint report all go through it.
 //!
 //! Design constraints, in priority order:
 //!
@@ -59,6 +63,7 @@
 
 mod counter;
 mod histogram;
+pub mod json;
 mod registry;
 
 pub use counter::{Counter, Gauge};

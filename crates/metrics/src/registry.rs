@@ -2,6 +2,7 @@
 
 use crate::counter::{Counter, Gauge};
 use crate::histogram::{Histogram, HistogramSnapshot};
+use crate::json;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex};
 
@@ -191,7 +192,10 @@ impl Registry {
 
     /// Renders a JSON object: metric name → `{type, help, series: […]}`,
     /// each series carrying its labels and either a scalar `value` or a
-    /// histogram's `{buckets, sum, count}`.
+    /// histogram's `{buckets, sum, count}`.  Strings and finite floats go
+    /// through [`json`]; counts print as exact integers, and non-finite
+    /// gauges, which JSON cannot spell, as the quoted `"+Inf"`/`"-Inf"`/
+    /// `"NaN"` of the text exposition.
     pub fn render_json(&self) -> String {
         let mut out = String::from("{");
         let families = self.families.lock().unwrap_or_else(|e| e.into_inner());
@@ -200,13 +204,12 @@ impl Registry {
                 out.push(',');
             }
             let kind = f.series.first().map_or("untyped", |s| s.handle.kind());
-            let _ = write!(
-                out,
-                "{}:{{\"type\":{},\"help\":{},\"series\":[",
-                json_str(&f.name),
-                json_str(kind),
-                json_str(&f.help)
-            );
+            json::write_str(&mut out, &f.name);
+            out.push_str(":{\"type\":");
+            json::write_str(&mut out, kind);
+            out.push_str(",\"help\":");
+            json::write_str(&mut out, &f.help);
+            out.push_str(",\"series\":[");
             for (j, s) in f.series.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
@@ -216,7 +219,9 @@ impl Registry {
                     if k > 0 {
                         out.push(',');
                     }
-                    let _ = write!(out, "{}:{}", json_str(key), json_str(value));
+                    json::write_str(&mut out, key);
+                    out.push(':');
+                    json::write_str(&mut out, value);
                 }
                 out.push_str("},");
                 match &s.handle {
@@ -224,7 +229,13 @@ impl Registry {
                         let _ = write!(out, "\"value\":{}", c.get());
                     }
                     Handle::Gauge(g) => {
-                        let _ = write!(out, "\"value\":{}", json_f64(g.get()));
+                        out.push_str("\"value\":");
+                        let v = g.get();
+                        if v.is_finite() {
+                            out.push_str(&json::fmt_f64(v));
+                        } else {
+                            json::write_str(&mut out, &fmt_f64(v));
+                        }
                     }
                     Handle::Histogram(h) => {
                         let snap = h.snapshot();
@@ -233,7 +244,7 @@ impl Registry {
                         let _ = write!(
                             out,
                             "],\"sum\":{},\"count\":{}",
-                            json_f64(snap.sum),
+                            json::fmt_f64(snap.sum),
                             snap.count
                         );
                     }
@@ -252,7 +263,7 @@ fn write_json_buckets(out: &mut String, snap: &HistogramSnapshot) {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(out, "{{\"le\":{},\"count\":{cum}}}", json_f64(*bound));
+        let _ = write!(out, "{{\"le\":{},\"count\":{cum}}}", json::fmt_f64(*bound));
     }
     if !snap.bounds.is_empty() {
         out.push(',');
@@ -305,37 +316,6 @@ fn fmt_f64(v: f64) -> String {
     } else {
         format!("{v}")
     }
-}
-
-/// JSON number rendering; non-finite values become strings, since JSON
-/// has no literal for them.
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        format!("\"{}\"", fmt_f64(v))
-    }
-}
-
-/// A JSON string literal.
-fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 #[cfg(test)]
@@ -408,18 +388,62 @@ mod tests {
         r.gauge("fill", "Fill ratio").set(0.25);
         let h = r.histogram_with("lat", "Latency", &[("op", "q")]);
         h.observe_duration(Duration::from_nanos(1000));
-        let json = r.render_json();
-        assert!(json.starts_with('{') && json.ends_with('}'), "{json}");
-        assert!(json.contains("\"requests_total\""), "{json}");
-        assert!(json.contains("\"value\":7"), "{json}");
-        assert!(json.contains("\"Requests \\\"served\\\"\""), "{json}");
-        assert!(json.contains("\"value\":0.25"), "{json}");
-        assert!(json.contains("\"le\":0.000001024,\"count\":1"), "{json}");
-        assert!(json.contains("\"le\":\"+Inf\",\"count\":1"), "{json}");
-        // Balanced braces/brackets (cheap well-formedness proxy, since
-        // no quoted string here contains braces).
-        assert_eq!(json.matches('{').count(), json.matches('}').count());
-        assert_eq!(json.matches('[').count(), json.matches(']').count());
+        let text = r.render_json();
+        assert!(text.starts_with('{') && text.ends_with('}'), "{text}");
+        assert!(text.contains("\"requests_total\""), "{text}");
+        assert!(text.contains("\"value\":7"), "{text}");
+        assert!(text.contains("\"Requests \\\"served\\\"\""), "{text}");
+        assert!(text.contains("\"value\":0.25"), "{text}");
+        assert!(text.contains("\"le\":0.000001024,\"count\":1"), "{text}");
+        assert!(text.contains("\"le\":\"+Inf\",\"count\":1"), "{text}");
+        let doc = json::Json::parse(&text).expect("well-formed JSON");
+        assert_eq!(
+            doc.get_path(&["requests_total", "help"]).and_then(json::Json::as_str),
+            Some("Requests \"served\"")
+        );
+    }
+
+    #[test]
+    fn json_exposition_golden_bytes() {
+        let r = Registry::new();
+        r.counter("big_total", "Saturated \"u64\"").add(u64::MAX);
+        r.gauge_with("ratio", "Non-finite gauges", &[("kind", "nan")]).set(f64::NAN);
+        r.gauge_with("ratio", "Non-finite gauges", &[("kind", "pos")]).set(f64::INFINITY);
+        r.gauge_with("ratio", "Non-finite gauges", &[("kind", "neg")]).set(f64::NEG_INFINITY);
+        r.gauge("fill", "Finite gauge").set(0.25);
+        r.counter_with(
+            "odd_total",
+            "Help with \"quotes\", a back\\slash,\na newline and a \u{1} control",
+            &[("path", "C:\\tmp\\\"x\"\n\u{7}")],
+        )
+        .inc();
+        let h = r.histogram_with("lat_seconds", "Latency", &[("op", "q")]);
+        h.observe_duration(Duration::from_nanos(1000));
+        h.observe_duration(Duration::from_millis(3));
+        // Pinned byte for byte: counts stay exact integers above 2^53,
+        // non-finite gauges keep their quoted Prometheus spellings, and
+        // strings use the shared JSON escaper.
+        let golden = concat!(
+            r#"{"big_total":{"type":"counter","help":"Saturated \"u64\"","series":[{"labels":{},"value":18446744073709551615}]},"#,
+            r#""ratio":{"type":"gauge","help":"Non-finite gauges","series":["#,
+            r#"{"labels":{"kind":"nan"},"value":"NaN"},{"labels":{"kind":"pos"},"value":"+Inf"},"#,
+            r#"{"labels":{"kind":"neg"},"value":"-Inf"}]},"#,
+            r#""fill":{"type":"gauge","help":"Finite gauge","series":[{"labels":{},"value":0.25}]},"#,
+            r#""odd_total":{"type":"counter","#,
+            r#""help":"Help with \"quotes\", a back\\slash,\na newline and a \u0001 control","#,
+            r#""series":[{"labels":{"path":"C:\\tmp\\\"x\"\n\u0007"},"value":1}]},"#,
+            r#""lat_seconds":{"type":"histogram","help":"Latency","series":[{"labels":{"op":"q"},"buckets":["#,
+            r#"{"le":0.000001024,"count":1},{"le":0.000002048,"count":1},{"le":0.000004096,"count":1},"#,
+            r#"{"le":0.000008192,"count":1},{"le":0.000016384,"count":1},{"le":0.000032768,"count":1},"#,
+            r#"{"le":0.000065536,"count":1},{"le":0.000131072,"count":1},{"le":0.000262144,"count":1},"#,
+            r#"{"le":0.000524288,"count":1},{"le":0.001048576,"count":1},{"le":0.002097152,"count":1},"#,
+            r#"{"le":0.004194304,"count":2},{"le":0.008388608,"count":2},{"le":0.016777216,"count":2},"#,
+            r#"{"le":0.033554432,"count":2},{"le":0.067108864,"count":2},{"le":0.134217728,"count":2},"#,
+            r#"{"le":0.268435456,"count":2},{"le":0.536870912,"count":2},{"le":1.073741824,"count":2},"#,
+            r#"{"le":2.147483648,"count":2},{"le":4.294967296,"count":2},{"le":8.589934592,"count":2},"#,
+            r#"{"le":17.179869184,"count":2},{"le":"+Inf","count":2}],"sum":0.003001,"count":2}]}}"#,
+        );
+        assert_eq!(r.render_json(), golden);
     }
 
     #[test]

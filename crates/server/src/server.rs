@@ -401,7 +401,7 @@ impl Pusher {
                 let payload = update.encode();
                 let Ok(frame) = frame_bytes(update.kind(), &payload) else { return };
                 let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
-                // lint:allow(L4, L7, reason = "the socket write must serialize under the per-connection writer mutex for frame atomicity with the response path; assembly already happened outside it")
+                // lint:allow(L7, reason = "the socket write must serialize under the per-connection writer mutex for frame atomicity with the response path; assembly already happened outside it")
                 let wrote = w.write_all(&frame).and_then(|()| w.flush());
                 drop(w);
                 if wrote.is_err() {
@@ -571,7 +571,7 @@ fn write_response(writer: &Mutex<TcpStream>, resp: &Response, ctx: &Ctx) -> bool
     let payload = resp.encode();
     let Ok(frame) = frame_bytes(resp.kind(), &payload) else { return false };
     let mut stream = writer.lock().unwrap_or_else(|e| e.into_inner());
-    // lint:allow(L4, L7, reason = "the socket write must serialize under the per-connection writer mutex for frame atomicity with the pusher thread; assembly already happened outside it")
+    // lint:allow(L7, reason = "the socket write must serialize under the per-connection writer mutex for frame atomicity with the pusher thread; assembly already happened outside it")
     let wrote = stream.write_all(&frame).and_then(|()| stream.flush());
     drop(stream);
     if wrote.is_err() {
@@ -771,7 +771,7 @@ fn ingest_through_wal(ctx: &Ctx, wal: &Mutex<Wal>, labels: &[&str], trees: &[Tre
     };
     let mut guard = wal.lock().unwrap_or_else(|e| e.into_inner());
     let started = Instant::now();
-    // lint:allow(L4, L7, reason = "log-before-ack by design: the WAL mutex is the commit lock, and the append must complete under it so acks follow durable log order; queries never touch this lock")
+    // lint:allow(L7, reason = "log-before-ack by design: the WAL mutex is the commit lock, and the append must complete under it so acks follow durable log order; queries never touch this lock")
     let appended = match guard.append(&payload) {
         Ok(a) => a,
         Err(e) => return Response::Error(format!("wal append: {e}")),
@@ -874,7 +874,7 @@ fn checkpoint_inner(
     let mut wal_guard = ck
         .wal
         .as_ref()
-        .map(|w| w.lock().unwrap_or_else(|e| e.into_inner()));
+        .map(|wal| wal.lock().unwrap_or_else(|e| e.into_inner()));
     let bytes = shared.read(write_snapshot);
     let tmp = path.with_extension("tmp");
     {
@@ -882,17 +882,17 @@ fn checkpoint_inner(
         // atomic in the namespace but says nothing about the data —
         // without sync_all a crash can publish a name pointing at
         // unwritten blocks (the bug this module's tests pin).
-        // lint:allow(L4, L7, reason = "the checkpoint mutex exists precisely to serialize this I/O; it is never taken on a query path")
+        // lint:allow(L7, reason = "the checkpoint mutex exists precisely to serialize this I/O; it is never taken on a query path")
         let mut f = std::fs::File::create(&tmp)?;
-        // lint:allow(L4, L7, reason = "the checkpoint mutex exists precisely to serialize this I/O; it is never taken on a query path")
+        // lint:allow(L7, reason = "the checkpoint mutex exists precisely to serialize this I/O; it is never taken on a query path")
         f.write_all(&bytes)?;
-        // lint:allow(L4, L7, reason = "durability requires the fsync inside the checkpoint critical section; the mutex is never taken on a query path")
+        // lint:allow(L7, reason = "durability requires the fsync inside the checkpoint critical section; the mutex is never taken on a query path")
         f.sync_all()?;
     }
-    // lint:allow(L4, L7, reason = "the checkpoint mutex exists precisely to serialize this I/O; it is never taken on a query path")
+    // lint:allow(L7, reason = "the checkpoint mutex exists precisely to serialize this I/O; it is never taken on a query path")
     std::fs::rename(&tmp, path)?;
     // The rename itself is only durable once the directory entry is.
-    // lint:allow(L4, L7, reason = "the directory fsync must precede the WAL rotation below, so it belongs inside the same critical section; the mutex is never taken on a query path")
+    // lint:allow(L7, reason = "the directory fsync must precede the WAL rotation below, so it belongs inside the same critical section; the mutex is never taken on a query path")
     sketchtree_wal::fsync_parent_dir(path)?;
     if let Some(wal) = wal_guard.as_deref_mut() {
         // Every logged batch the snapshot covers is now durably

@@ -88,7 +88,7 @@ echo "==> wal-recovery (crash-injection: any truncation point, bit-identical)"
 cargo test --quiet -p sketchtree-server --test crash_injection
 cargo test --quiet -p sketchtree-wal --lib every_truncation_point_recovers_the_intact_prefix
 
-echo "==> workspace lint gates (L6 lock-order, L7 blocking, L8 epoch, L9 spec-drift)"
+echo "==> workspace lint gates (L6 lock-order, L7 blocking, L8 epoch, L9 spec-drift, A0 stale allows)"
 # The graph-aware workspace rules each get a named gate so a regression
 # fails under its own banner, and the seeded-bug self-tests prove each
 # pass still *fires* — a silently dead pass is a green gate that
@@ -101,6 +101,9 @@ cargo test --quiet -p sketchtree-lint --test seeded_bugs l6_
 cargo test --quiet -p sketchtree-lint --test seeded_bugs l7_
 cargo test --quiet -p sketchtree-lint --test seeded_bugs l8_
 cargo test --quiet -p sketchtree-lint --test seeded_bugs l9_
+# A0: an allow naming a rule no pass reports (a retired id such as L4,
+# or a typo) is itself a finding, so stale markers cannot linger.
+cargo test --quiet -p sketchtree-lint --test seeded_bugs a0_
 
 echo "==> sketchtree-lint"
 # --show-allowed keeps the documented exceptions visible in CI logs so

@@ -10,6 +10,8 @@
 //! additionally get named per-rule gates so a regression fails with its
 //! own banner (and `scripts/check.sh` invokes them by name).
 
+use sketchtree_lint::index::WorkspaceIndex;
+use sketchtree_lint::source::SourceFile;
 use std::path::Path;
 
 /// Fails if any undocumented finding of `rule` exists workspace-wide.
@@ -90,5 +92,34 @@ fn every_allow_carries_a_nonempty_reason() {
             f.line,
             f.rule
         );
+    }
+}
+
+/// L6 names a lock by its receiver, so the checkpoint must take the WAL
+/// mutex through a binding named like the ingest path's (`wal`): under
+/// any other name L6 sees two locks where there is one, and checks none
+/// of the order `ck.lock → wal → synopsis` the checkpoint documents.
+#[test]
+fn l6_sees_the_checkpoint_take_the_ingest_wal_lock() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let files: Vec<SourceFile> = sketchtree_lint::workspace_rs_files(root)
+        .iter()
+        .filter_map(|path| {
+            let rel = path.strip_prefix(root).ok()?.to_string_lossy().replace('\\', "/");
+            Some(SourceFile::parse(&rel, &std::fs::read_to_string(path).ok()?))
+        })
+        .collect();
+    let index = WorkspaceIndex::build(&files);
+    let locks_taken_by = |name: &str| -> Vec<String> {
+        index
+            .fns
+            .iter()
+            .filter(|f| f.name == name)
+            .flat_map(|f| f.acqs.iter().map(|a| a.lock.clone()))
+            .collect()
+    };
+    for name in ["checkpoint_inner", "ingest_through_wal"] {
+        let locks = locks_taken_by(name);
+        assert!(locks.iter().any(|l| l == "server::wal"), "`{name}` takes {locks:?}");
     }
 }

@@ -4,7 +4,7 @@
 //! for every op kind, pushed standing-query updates with monotone
 //! epochs, and a populated batch sweep.
 
-use sketchtree_loadgen::json::Json;
+use sketchtree_metrics::json::Json;
 use sketchtree_loadgen::{report, schema, RunConfig, Scenario};
 
 #[test]
