@@ -7,7 +7,7 @@
 //!     --s1 N --s2 N       sketch array size (default 25 x 7)
 //!     --streams N         virtual streams (default 229)
 //!     --topk N            heavy hitters tracked per stream (default 50)
-//!     --independence N    xi independence (default 5: products of 2 work)
+//!     --independence N    xi independence, 2..=64 (default 5: products of 2 work)
 //!     --seed N            sketch seed
 //!
 //! sketchtree query <snapshot> <pattern>... [--unordered]
@@ -80,7 +80,7 @@ use sketchtree_core::snapshot::{read_snapshot, write_snapshot};
 use sketchtree_core::sketchtree::{SketchTree, SketchTreeConfig};
 use sketchtree_core::{exprparse, summary::ExpandLimits};
 use sketchtree_server::{Client, Server, ServerConfig, SubscribeMode};
-use sketchtree_sketch::SynopsisConfig;
+use sketchtree_sketch::{SynopsisConfig, INDEPENDENCE_RANGE};
 use sketchtree_xml::{DocumentSplitter, XmlTreeBuilder};
 use std::io::{BufRead, BufReader, Write};
 
@@ -194,6 +194,16 @@ fn positional(args: &[String]) -> Vec<&String> {
 /// (`--k`, `--s1`, `--s2`, `--streams`, `--topk`, `--independence`,
 /// `--seed`), used by both `ingest` and `serve`.
 fn sketch_config(args: &[String]) -> Result<SketchTreeConfig, CliError> {
+    // The range a snapshot decodes, so every synopsis the CLI builds can
+    // restore its own checkpoints.
+    let independence = parse_flag(args, "--independence", 5usize)?;
+    if !INDEPENDENCE_RANGE.contains(&independence) {
+        return Err(CliError::Usage(format!(
+            "--independence must be in {}..={}, got {independence}",
+            INDEPENDENCE_RANGE.start(),
+            INDEPENDENCE_RANGE.end()
+        )));
+    }
     Ok(SketchTreeConfig {
         max_pattern_edges: parse_flag(args, "--k", 4usize)?,
         synopsis: SynopsisConfig {
@@ -201,7 +211,7 @@ fn sketch_config(args: &[String]) -> Result<SketchTreeConfig, CliError> {
             s2: parse_flag(args, "--s2", 7usize)?,
             virtual_streams: parse_flag(args, "--streams", 229usize)?,
             topk: parse_flag(args, "--topk", 50usize)?,
-            independence: parse_flag(args, "--independence", 5usize)?,
+            independence,
             seed: parse_flag(args, "--seed", 0x5EED_u64)?,
             ..SynopsisConfig::default()
         },

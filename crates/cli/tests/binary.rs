@@ -111,6 +111,44 @@ fn binary_bad_flag_value_fails_with_message() {
     assert!(stderr.contains("--s1"), "{stderr}");
 }
 
+/// Every independence degree `ingest` accepts must restore from its own
+/// snapshot: the CLI admits exactly the range the snapshot decoder does,
+/// and rejects the rest as a usage error before building anything.
+#[test]
+fn binary_independence_range_matches_snapshot_decoder() {
+    let xml = tmp("indep.xml");
+    std::fs::write(&xml, "<r><a>x</a></r>".repeat(20)).unwrap();
+    for independence in ["2", "4", "5", "64"] {
+        let snap = tmp(&format!("indep-{independence}.bin"));
+        let out = Command::new(bin())
+            .args(["ingest", xml.to_str().unwrap(), "--snapshot", snap.to_str().unwrap()])
+            .args(["--streams", "7", "--independence", independence])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{independence}: {}", String::from_utf8_lossy(&out.stderr));
+        let out = Command::new(bin())
+            .args(["stats", snap.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        assert!(out.status.success(), "{independence}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(String::from_utf8_lossy(&out.stdout).contains("trees processed     : 20"));
+        std::fs::remove_file(&snap).ok();
+    }
+    for independence in ["0", "1", "65"] {
+        let snap = tmp(&format!("indep-{independence}.bin"));
+        let out = Command::new(bin())
+            .args(["ingest", xml.to_str().unwrap(), "--snapshot", snap.to_str().unwrap()])
+            .args(["--independence", independence])
+            .output()
+            .expect("binary runs");
+        assert!(!out.status.success(), "independence {independence} accepted");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("--independence must be in 2..=64"), "{stderr}");
+        assert!(!snap.exists(), "a rejected config must write no snapshot");
+    }
+    std::fs::remove_file(&xml).ok();
+}
+
 /// Observability path through the binary: `serve --metrics-port 0`, drive a
 /// workload, then read the same state three ways — remote `stats`, remote
 /// `stats --metrics [--json]` over SKTP, and a raw HTTP scrape of the

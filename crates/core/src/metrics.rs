@@ -139,6 +139,12 @@ pub struct SketchHealth {
     /// Inserts routed to each virtual-stream partition since startup
     /// (monitoring counts — reset on restore).
     pub partition_inserts: Vec<u64>,
+    /// Sign-cache lookups since startup — one per value inserted
+    /// (monitoring count — resets on restore).
+    pub sign_cache_lookups: u64,
+    /// Sign-cache misses since startup: each one ran the ξ row kernel over
+    /// all `s1·s2` families (monitoring count — resets on restore).
+    pub sign_cache_misses: u64,
     /// Pattern values processed by the synopsis since its state began.
     pub values_processed: u64,
     /// Estimated residual self-join size `SJ(S)` of the sketched stream —

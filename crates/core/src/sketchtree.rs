@@ -1077,20 +1077,24 @@ impl SketchTree {
     }
 
     /// A scrape-time snapshot of synopsis health for monitoring: counter
-    /// fill, top-k occupancy, partition balance, the residual self-join and
-    /// the estimator-variance proxy.  Cost is one pass over the in-memory
-    /// sketch counters — cheap relative to a metrics scrape, but not free,
-    /// so call it per scrape rather than per query.
+    /// fill, top-k occupancy, partition balance, sign-cache traffic, the
+    /// residual self-join and the estimator-variance proxy.  Cost is one
+    /// pass over the in-memory sketch counters — cheap relative to a
+    /// metrics scrape, but not free, so call it per scrape rather than per
+    /// query.
     pub fn sketch_health(&self) -> SketchHealth {
         let (counters_nonzero, counters_total) = self.synopsis.counter_occupancy();
         let (topk_tracked, topk_capacity) = self.synopsis.topk_occupancy();
         let means = self.synopsis.residual_self_join_group_means();
+        let (sign_cache_lookups, sign_cache_misses) = self.synopsis.sign_cache_counts();
         SketchHealth {
             counters_nonzero,
             counters_total,
             topk_tracked,
             topk_capacity,
             partition_inserts: self.synopsis.partition_insert_counts().to_vec(),
+            sign_cache_lookups,
+            sign_cache_misses,
             values_processed: self.synopsis.values_processed(),
             residual_self_join: self.synopsis.estimate_residual_self_join(),
             estimator_spread: relative_spread(&means),
@@ -1674,6 +1678,10 @@ mod tests {
             h.partition_inserts.iter().sum::<u64>(),
             h.values_processed
         );
+        // Every inserted value is one sign-cache lookup; the stream
+        // repeats values, so some lookups hit.
+        assert_eq!(h.sign_cache_lookups, h.values_processed);
+        assert!(h.sign_cache_misses > 0 && h.sign_cache_misses < h.sign_cache_lookups);
         assert!(h.residual_self_join >= 0.0);
         assert!(h.estimator_spread >= 0.0);
         assert!(h.memory_bytes > 0);
@@ -1683,6 +1691,7 @@ mod tests {
         let h0 = empty.sketch_health();
         assert_eq!(h0.counters_nonzero, 0);
         assert_eq!(h0.values_processed, 0);
+        assert_eq!((h0.sign_cache_lookups, h0.sign_cache_misses), (0, 0));
         assert_eq!(h0.estimator_spread, 0.0);
     }
 

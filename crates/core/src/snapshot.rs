@@ -196,7 +196,7 @@ pub fn read_snapshot(bytes: &[u8]) -> Result<SketchTree, SnapshotError> {
     if !(2..=63).contains(&config.fingerprint_degree) {
         return Err(SnapshotError::Corrupt("fingerprint degree out of range"));
     }
-    if config.synopsis.independence < 2 || config.synopsis.independence > 64 {
+    if !sketchtree_sketch::INDEPENDENCE_RANGE.contains(&config.synopsis.independence) {
         return Err(SnapshotError::Corrupt("independence out of range"));
     }
     // s1 and s2 are individually capped at 2^24, so a product above the
@@ -519,6 +519,37 @@ mod tests {
         );
     }
 
+    /// Every degree the synopsis admits restores from its own snapshot —
+    /// the constructor and the decoder share one range.
+    #[test]
+    fn snapshots_roundtrip_at_every_admitted_independence() {
+        for independence in [2usize, 4, 5, 64] {
+            let mut st = SketchTree::new(SketchTreeConfig {
+                max_pattern_edges: 3,
+                synopsis: SynopsisConfig {
+                    s1: 6,
+                    s2: 3,
+                    virtual_streams: 5,
+                    topk: 2,
+                    independence,
+                    ..SynopsisConfig::default()
+                },
+                ..SketchTreeConfig::default()
+            });
+            let (a, b) = {
+                let l = st.labels_mut();
+                (l.intern("A"), l.intern("B"))
+            };
+            for _ in 0..9 {
+                st.ingest(&Tree::node(a, vec![Tree::leaf(b), Tree::leaf(a)]));
+            }
+            let bytes = write_snapshot(&st);
+            let restored = read_snapshot(&bytes).expect("a snapshot the synopsis wrote must load");
+            assert_eq!(restored.config().synopsis.independence, independence);
+            assert_eq!(write_snapshot(&restored), bytes, "independence {independence}");
+        }
+    }
+
     #[test]
     fn restored_synopsis_keeps_streaming() {
         let st = build();
@@ -593,6 +624,7 @@ mod tests {
     const OFF_S1: usize = 8 + 8 + 1 + 4 + 8; // past max_pattern_edges, include_single_nodes, fingerprint_degree, mapping_seed
     const OFF_S2: usize = OFF_S1 + 8;
     const OFF_TOPK: usize = OFF_S1 + 8 * 3; // past s1, s2, virtual_streams
+    const OFF_INDEPENDENCE: usize = OFF_TOPK + 8;
     const OFF_LABEL_COUNT: usize = OFF_S1 + 8 * 5 + 2 + 8 + 1 + 8 * 3; // past s1..independence, topk_probability, seed, maintain_summary, limits
 
     fn patch_u64(bytes: &mut [u8], off: usize, v: u64) {
@@ -627,6 +659,23 @@ mod tests {
         }
         st.ingest(&t2);
         st
+    }
+
+    /// The decoder admits exactly the range the synopsis is built with.
+    #[test]
+    fn independence_outside_the_shared_range_is_corrupt() {
+        let bytes = write_snapshot(&build_small());
+        for (independence, ok) in [(1u64, false), (2, true), (64, true), (65, false)] {
+            let mut patched = bytes.clone();
+            patch_u64(&mut patched, OFF_INDEPENDENCE, independence);
+            match read_snapshot(&patched) {
+                Ok(_) => assert!(ok, "independence {independence} decoded"),
+                Err(e) => {
+                    assert!(!ok, "independence {independence}: {e}");
+                    assert_eq!(e, SnapshotError::Corrupt("independence out of range"));
+                }
+            }
+        }
     }
 
     /// A header declaring `s1 = s2 = 2^24` passes the per-field caps but

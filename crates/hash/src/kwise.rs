@@ -120,9 +120,10 @@ impl Sign for KWiseSign {
 #[inline]
 pub fn sign_from_coefficients(coeffs: &[u64], reduced_key: u64) -> i64 {
     // Four coefficients (the default independence) get a fully unrolled
-    // Horner chain — the ingest hot path evaluates hundreds of such
-    // families per inserted value, and the unroll lets the compiler
-    // schedule the four mul/add steps without loop-carried bookkeeping.
+    // Horner chain — query-time estimation evaluates one family per
+    // (sketch, query value), and the unroll lets the compiler schedule
+    // the four mul/add steps without loop-carried bookkeeping.  (Whole
+    // sign rows on the ingest path use the sketch crate's slab kernel.)
     // The operations and their order are exactly `m61::eval_poly`'s, so
     // the sign is bit-identical to the generic path.
     let v = if let [c0, c1, c2, c3] = *coeffs {

@@ -22,6 +22,21 @@ pub fn reduce(x: u64) -> u64 {
     }
 }
 
+/// Reduces any `u128` into `[0, P)`.
+///
+/// Splits `x` into 61-bit limbs, `x = a2·2^122 + a1·2^61 + a0`; since
+/// `2^61 ≡ 1 (mod P)`, `x ≡ a0 + a1 + a2`, and that sum is below `2^63`,
+/// so one [`reduce`] makes it canonical.  This is the single fold an
+/// unreduced sum of up to 64 products of residues needs (each product is
+/// below `2^122`, so 64 of them stay below `2^128`).
+#[inline]
+pub fn reduce_wide(x: u128) -> u64 {
+    let a0 = (x as u64) & P;
+    let a1 = ((x >> 61) as u64) & P;
+    let a2 = (x >> 122) as u64; // < 2^6
+    reduce(a0 + a1 + a2)
+}
+
 /// Addition mod P (inputs must be `< P`).
 #[inline]
 pub fn add(a: u64, b: u64) -> u64 {
@@ -71,6 +86,21 @@ mod tests {
         // u64::MAX = 2^64 - 1 = 8·(2^61 - 1) + 7 → 7 + ... let's verify by
         // direct modular arithmetic.
         assert_eq!(reduce(u64::MAX), (u64::MAX % P));
+    }
+
+    #[test]
+    fn reduce_wide_matches_u128_reference() {
+        let p = u128::from(P);
+        let max_sum = 64 * (p - 1) * (p - 1); // the row kernel's worst case
+        let mut s = 0x9E37_79B9_7F4A_7C15u128;
+        let mut vals = vec![0u128, 1, p - 1, p, p + 1, 2 * p, p * p, max_sum, u128::MAX];
+        for _ in 0..200 {
+            s = s.wrapping_mul(0x2545_F491_4F6C_DD1D).wrapping_add(0x1234_5678_9ABC_DEF1);
+            vals.push(s);
+        }
+        for x in vals {
+            assert_eq!(u128::from(reduce_wide(x)), x % p, "x = {x}");
+        }
     }
 
     #[test]

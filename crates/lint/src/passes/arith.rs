@@ -51,6 +51,11 @@ const UPDATE_FNS: &[&str] = &[
     "signs",
     "fill_signs_reduced",
     "untrack",
+    // The ξ row kernel every slab-wide sign sweep runs through: its
+    // unreduced u128 accumulation is correct only while K <= 64 products
+    // of residues fit, so each sum carries its bound as an allow reason.
+    "for_each_sign",
+    "sign_row",
 ];
 
 /// The L3 pass.

@@ -125,6 +125,8 @@ pub struct ServerMetrics {
     health_topk_capacity: Arc<Gauge>,
     health_virtual_streams: Arc<Gauge>,
     health_partition_imbalance: Arc<Gauge>,
+    health_sign_cache_lookups: Arc<Gauge>,
+    health_sign_cache_misses: Arc<Gauge>,
     health_values_processed: Arc<Gauge>,
     health_residual_self_join: Arc<Gauge>,
     health_estimator_spread: Arc<Gauge>,
@@ -307,6 +309,14 @@ impl ServerMetrics {
                 "sketchtree_partition_imbalance_ratio",
                 "Max over mean inserts per virtual-stream partition (1.0 = perfectly even)",
             ),
+            health_sign_cache_lookups: health_gauge(
+                "sketchtree_sign_cache_lookups",
+                "Sign-cache lookups since startup, one per inserted value (resets on restore)",
+            ),
+            health_sign_cache_misses: health_gauge(
+                "sketchtree_sign_cache_misses",
+                "Sign-cache misses since startup, each one xi row-kernel run (resets on restore)",
+            ),
             health_values_processed: health_gauge(
                 "sketchtree_values_processed",
                 "Pattern values processed by the synopsis since its state began",
@@ -364,6 +374,8 @@ impl ServerMetrics {
         self.health_topk_capacity.set(h.topk_capacity as f64);
         self.health_virtual_streams.set(h.partition_inserts.len() as f64);
         self.health_partition_imbalance.set(partition_imbalance(&h.partition_inserts));
+        self.health_sign_cache_lookups.set(h.sign_cache_lookups as f64);
+        self.health_sign_cache_misses.set(h.sign_cache_misses as f64);
         self.health_values_processed.set(h.values_processed as f64);
         self.health_residual_self_join.set(h.residual_self_join);
         self.health_estimator_spread.set(h.estimator_spread);
@@ -469,6 +481,13 @@ mod tests {
         let text = m.render(false);
         assert!(text.contains("sketchtree_trees_processed 10"));
         assert!(!text.contains("sketchtree_values_processed 0\n"));
+        // Ten copies of one tree: one lookup per value, and only the first
+        // copy's distinct values miss.
+        let h = shared.read(|s| s.sketch_health());
+        assert_eq!(h.sign_cache_lookups, h.values_processed);
+        assert!(h.sign_cache_misses > 0 && h.sign_cache_misses * 10 <= h.sign_cache_lookups);
+        assert!(text.contains(&format!("sketchtree_sign_cache_lookups {}\n", h.sign_cache_lookups)));
+        assert!(text.contains(&format!("sketchtree_sign_cache_misses {}\n", h.sign_cache_misses)));
         // JSON render is parseable-ish: starts and ends with braces.
         let json = m.render(true);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));

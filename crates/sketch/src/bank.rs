@@ -31,7 +31,7 @@
 //! requirement).
 
 use crate::expr::Term;
-use crate::xislab::XiSlab;
+use crate::xislab::{XiSlab, INDEPENDENCE_RANGE};
 use sketchtree_hash::kwise::sign_from_coefficients;
 use sketchtree_hash::m61;
 use std::sync::Arc;
@@ -95,10 +95,18 @@ impl SketchBank {
     /// share identical ξ families — the property virtual streams rely on so
     /// their sketches can be added (Section 5.3).
     ///
+    /// Degrees 2 and 3 are raised to 4, the least the point estimators'
+    /// variance bound needs.
+    ///
     /// # Panics
-    /// Panics if `s1 == 0` or `s2 == 0`.
+    /// Panics if `s1 == 0`, `s2 == 0`, or `independence` is outside
+    /// [`INDEPENDENCE_RANGE`].
     pub fn new(seed: u64, s1: usize, s2: usize, independence: usize) -> Self {
         assert!(s1 > 0 && s2 > 0, "s1 and s2 must be positive");
+        assert!(
+            INDEPENDENCE_RANGE.contains(&independence),
+            "independence degree must be in 2..=64, got {independence}"
+        );
         let independence = independence.max(4);
         let xi = Arc::new(XiSlab::generate(seed, s1 * s2, independence));
         Self::with_shared_xi(xi, s1, s2)
@@ -146,12 +154,16 @@ impl SketchBank {
     /// so insert/delete symmetry (`X -= m·ξ_t` undoes `X += m·ξ_t`) holds
     /// mod 2⁶⁴ even across a wrap, whereas a panic or saturation would
     /// break it.
+    ///
+    /// The signs come straight from the ξ row kernel
+    /// ([`XiSlab::for_each_sign`]) into the counters, so this equals
+    /// [`SketchBank::signs_into`] followed by
+    /// [`SketchBank::update_with_signs`] bit for bit, without the sign
+    /// buffer.
     pub fn update(&mut self, value: u64, count: i64) {
-        let reduced = m61::reduce(value);
-        for (idx, c) in self.counters.iter_mut().enumerate() {
-            let sg = self.xi.sign_reduced(idx, reduced);
-            *c = c.wrapping_add(sg.wrapping_mul(count));
-        }
+        self.xi.for_each_sign(m61::reduce(value), &mut self.counters, |c, sign| {
+            *c = c.wrapping_add(i64::from(sign).wrapping_mul(count));
+        });
     }
 
     /// Memory footprint of the counters in bytes (the paper's "total memory
@@ -623,5 +635,11 @@ mod tests {
     fn independence_floor_is_four() {
         let bank = SketchBank::new(0, 1, 1, 2);
         assert_eq!(bank.independence(), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "independence degree must be in 2..=64")]
+    fn independence_above_kernel_bound_rejected() {
+        SketchBank::new(0, 1, 1, 65);
     }
 }

@@ -47,4 +47,4 @@ pub use bank::{SketchBank, SketchView};
 pub use expr::{Expr, ExprError};
 pub use topk::TopKTracker;
 pub use virtual_streams::{StreamSynopsis, SynopsisConfig, SynopsisState};
-pub use xislab::XiSlab;
+pub use xislab::{XiSlab, INDEPENDENCE_RANGE};

@@ -35,8 +35,9 @@ pub struct SynopsisConfig {
     pub virtual_streams: usize,
     /// Top-k tracker capacity per virtual stream (0 disables tracking).
     pub topk: usize,
-    /// ξ independence degree; 4 suffices for point/sum queries, product
-    /// terms of size `k` need `2k+1` (see [`crate::expr`]).
+    /// ξ independence degree, in [`crate::INDEPENDENCE_RANGE`]; 4
+    /// suffices for point/sum queries, product terms of size `k` need
+    /// `2k+1` (see [`crate::expr`]).
     pub independence: usize,
     /// Probability of invoking top-k processing per inserted value, in
     /// per-2^16 units (65536 = always, the default).  Section 5.2: "top-k
@@ -163,12 +164,18 @@ const SIGN_CACHE_SLOTS: usize = 8192;
 /// transient acceleration scratch: not part of
 /// [`StreamSynopsis::memory_bytes`] (the paper's Section 7.5 accounting)
 /// and never snapshotted.
+///
+/// It counts its lookups and misses (saturating) so an operator can see
+/// how often the ξ row kernel runs on the insert path; like the partition
+/// counts these are monitoring only and reset on snapshot restore.
 #[derive(Debug, Clone)]
 struct SignCache {
     families: usize,
     tags: Vec<u64>,
     filled: Vec<bool>,
     signs: Vec<i8>,
+    lookups: u64,
+    misses: u64,
 }
 
 impl SignCache {
@@ -178,6 +185,8 @@ impl SignCache {
             tags: vec![0; SIGN_CACHE_SLOTS],
             filled: vec![false; SIGN_CACHE_SLOTS],
             signs: vec![0; SIGN_CACHE_SLOTS * families],
+            lookups: 0,
+            misses: 0,
         }
     }
 
@@ -190,8 +199,10 @@ impl SignCache {
         let start = slot * self.families;
         // lint:allow(L1, L3, reason = "slot < SIGN_CACHE_SLOTS and signs has SIGN_CACHE_SLOTS * families entries, so start + families is in bounds and cannot overflow")
         let row = &mut self.signs[start..start + self.families];
+        self.lookups = self.lookups.saturating_add(1);
         // lint:allow(L1, reason = "slot < SIGN_CACHE_SLOTS, and tags/filled each have SIGN_CACHE_SLOTS entries")
         if !(self.filled[slot] && self.tags[slot] == value) {
+            self.misses = self.misses.saturating_add(1);
             xi.fill_signs_reduced(m61::reduce(value), row);
             // lint:allow(L1, reason = "same slot < SIGN_CACHE_SLOTS bound as the read above")
             self.tags[slot] = value;
@@ -241,9 +252,15 @@ impl StreamSynopsis {
     /// Builds an empty synopsis.
     ///
     /// # Panics
-    /// Panics if `s1`, `s2` or `virtual_streams` is zero.
+    /// Panics if `s1`, `s2` or `virtual_streams` is zero, or if
+    /// `independence` is outside [`crate::INDEPENDENCE_RANGE`].
     pub fn new(config: SynopsisConfig) -> Self {
         assert!(config.virtual_streams > 0, "need at least one virtual stream");
+        assert!(
+            crate::INDEPENDENCE_RANGE.contains(&config.independence),
+            "independence degree must be in 2..=64, got {}",
+            config.independence
+        );
         let effective_independence = config.independence.max(4);
         // All banks share the master seed → identical ξ families (Section
         // 5.3: "the sketches can share the same random seed", making
@@ -596,6 +613,14 @@ impl StreamSynopsis {
     /// hence its error bound — is worse than the others'.
     pub fn partition_insert_counts(&self) -> &[u64] {
         &self.partition_inserts
+    }
+
+    /// Sign-cache `(lookups, misses)` since this synopsis was constructed
+    /// (monitoring only — resets on snapshot restore, like
+    /// [`StreamSynopsis::partition_insert_counts`]).  Every insert is one
+    /// lookup; every miss runs the ξ row kernel over all `s1·s2` families.
+    pub fn sign_cache_counts(&self) -> (u64, u64) {
+        (self.sign_cache.lookups, self.sign_cache.misses)
     }
 
     /// All tracked heavy hitters across virtual streams, most frequent
@@ -956,13 +981,26 @@ mod tests {
     }
 
     #[test]
+    fn independence_outside_kernel_range_rejected() {
+        for independence in [0usize, 1, 65] {
+            let config = SynopsisConfig { independence, ..small_config(0) };
+            let built = std::panic::catch_unwind(|| StreamSynopsis::new(config));
+            assert!(built.is_err(), "independence {independence} accepted");
+        }
+    }
+
+    #[test]
     fn partition_counts_reset_on_restore_but_state_roundtrips() {
         let mut syn = StreamSynopsis::new(small_config(3));
         fill(&mut syn, &[(5, 80), (18, 40)]);
         assert!(syn.partition_insert_counts().iter().sum::<u64>() > 0);
+        let (lookups, misses) = syn.sign_cache_counts();
+        assert_eq!(lookups, 120, "every insert is one sign-cache lookup");
+        assert_eq!(misses, 2, "two distinct values, each missing once");
         let restored = StreamSynopsis::from_state(small_config(3), syn.export_state());
         // Monitoring counts are not part of the snapshot format.
         assert!(restored.partition_insert_counts().iter().all(|&c| c == 0));
+        assert_eq!(restored.sign_cache_counts(), (0, 0));
         // But the sketch state itself is intact.
         assert_eq!(syn.estimate_count(5), restored.estimate_count(5));
     }

@@ -1,4 +1,5 @@
-//! A shared, contiguous table of ξ-family coefficients.
+//! A shared, contiguous table of ξ-family coefficients, and the one row
+//! kernel that evaluates it.
 //!
 //! Every sketch in a bank — and, because all virtual-stream banks share the
 //! master seed (paper Section 5.3), every sketch in the whole synopsis —
@@ -10,12 +11,21 @@
 //! single allocation.
 //!
 //! The coefficients are *copied out of* [`KWiseSign`] instances constructed
-//! exactly as before, so the signs the slab produces are bit-identical to
-//! the per-sketch construction — the property every snapshot- and
-//! merge-parity test in the workspace leans on.
+//! exactly as before, and [`XiSlab::for_each_sign`] evaluates them in the
+//! power basis rather than by Horner's rule.  Both end in the canonical
+//! residue mod `2^61 − 1`, so the signs the slab produces are bit-identical
+//! to [`KWiseSign`]'s at every degree in [`INDEPENDENCE_RANGE`] — the
+//! property every snapshot- and merge-parity test in the workspace leans
+//! on, and which this module's tests check family by family.
 
-use sketchtree_hash::kwise::sign_from_coefficients;
 use sketchtree_hash::{m61, KWiseSign, SplitMix64};
+use std::ops::RangeInclusive;
+
+/// The ξ independence degrees a slab — and so a synopsis, a snapshot and
+/// the CLI — accepts.  The upper end is the row kernel's bound: a family
+/// of degree `k` sums `k` products of residues, each below `2^122`, and 64
+/// of them are the most a `u128` holds unreduced.
+pub const INDEPENDENCE_RANGE: RangeInclusive<usize> = 2..=64;
 
 /// Packed ξ coefficients for `families` sign families of a common
 /// independence degree `k`, family `i` occupying `coeffs[i*k .. (i+1)*k]`.
@@ -31,9 +41,13 @@ impl XiSlab {
     /// — same derivation, same rejection sampling, same coefficients.
     ///
     /// # Panics
-    /// Panics if `families == 0` or `k < 2` (via [`KWiseSign::from_seed`]).
+    /// Panics if `families == 0` or `k` is outside [`INDEPENDENCE_RANGE`].
     pub fn generate(seed: u64, families: usize, k: usize) -> Self {
         assert!(families > 0, "a ξ slab needs at least one family");
+        assert!(
+            INDEPENDENCE_RANGE.contains(&k),
+            "independence degree must be in 2..=64, got {k}"
+        );
         let mut coeffs = Vec::with_capacity(families.saturating_mul(k));
         for idx in 0..families {
             // lint:allow(L2, reason = "usize -> u64 family index is widening on all supported targets")
@@ -66,73 +80,116 @@ impl XiSlab {
         &self.coeffs[idx * self.k..(idx + 1) * self.k]
     }
 
-    /// ξ sign of family `idx` for a key already reduced with
-    /// [`m61::reduce`] — the hot-path form, so a value's reduction happens
-    /// once per insert instead of once per sketch.
-    #[inline]
-    pub fn sign_reduced(&self, idx: usize, reduced_key: u64) -> i64 {
-        sign_from_coefficients(self.coefficients(idx), reduced_key)
-    }
-
-    /// Iterates the coefficient rows in family order — the bounds-check-free
-    /// form of [`XiSlab::coefficients`] for whole-slab sweeps.
-    #[inline]
-    pub fn rows(&self) -> std::slice::ChunksExact<'_, u64> {
-        self.coeffs.chunks_exact(self.k)
-    }
-
-    /// Evaluates every family's sign for one already-reduced key into
-    /// `out` (±1 as `i8`), one pass over the slab.  Bit-identical to
-    /// calling [`XiSlab::sign_reduced`] per family.
+    /// The ξ row kernel: evaluates every family's sign for one key already
+    /// reduced with [`m61::reduce`], in family order, handing family `i`'s
+    /// sign (±1) to `apply(&mut out[i], sign)`.
     ///
-    /// Degree-4 slabs (the default independence) evaluate in the power
-    /// basis: `x²` and `x³` are computed once for the whole slab, and each
-    /// family then needs three *independent* multiplications — unlike
-    /// Horner's serial chain, they pipeline across the slab instead of
-    /// stalling on multiply latency.  Every [`m61`] operation returns the
-    /// canonical residue in `[0, P)`, so the power-basis value equals the
-    /// Horner value bit for bit (asserted by the equivalence test below).
+    /// Every slab-wide sign sweep goes through here — the sign cache's
+    /// row fill ([`XiSlab::fill_signs_reduced`]) and the direct counter
+    /// update ([`crate::SketchBank::update`]) — at every degree in
+    /// [`INDEPENDENCE_RANGE`].  The degree selects a compile-time
+    /// instantiation of the kernel (`sign_row`), so each family's inner
+    /// loop is unrolled to its exact length.
     ///
     /// # Panics
     /// Panics if `out.len() != families()`.
-    pub fn fill_signs_reduced(&self, reduced_key: u64, out: &mut [i8]) {
+    #[inline]
+    pub fn for_each_sign<T>(&self, reduced_key: u64, out: &mut [T], apply: impl FnMut(&mut T, i8)) {
         assert_eq!(out.len(), self.families(), "sign buffer must cover every family");
-        if self.k == 4 {
-            let x = reduced_key;
-            let x2 = m61::mul(x, x);
-            let x3 = m61::mul(x2, x);
-            for (o, row) in out.iter_mut().zip(self.rows()) {
-                // lint:allow(L1, reason = "rows() is chunks_exact(4), which yields only length-4 slices")
-                let [c0, c1, c2, c3] = *row else { unreachable!("chunks_exact(4)") };
-                let v = m61::add(
-                    m61::add(c0, m61::mul(c1, x)),
-                    m61::add(m61::mul(c2, x2), m61::mul(c3, x3)),
-                );
-                // lint:allow(L2, L3, reason = "1 - 2·bit is ±1, which always fits i8; operands are 0 or 1, so no overflow")
-                *o = (1 - 2 * ((v & 1) as i64)) as i8;
-            }
-        } else {
-            for (o, row) in out.iter_mut().zip(self.rows()) {
-                // lint:allow(L2, reason = "sign_from_coefficients returns ±1, which always fits i8")
-                *o = sign_from_coefficients(row, reduced_key) as i8;
-            }
+        // Comma-separated repetitions (`),*`), so no `)*` reads as a
+        // multiplication to the L3 pass.
+        macro_rules! by_degree {
+            ($($k:literal),*) => {
+                match self.k {
+                    $($k => sign_row::<$k, T>(&self.coeffs, reduced_key, out, apply)),*,
+                    // lint:allow(L1, reason = "generate() admits only INDEPENDENCE_RANGE = 2..=64, and every degree in it has an arm above")
+                    k => unreachable!("ξ slab of degree {k} outside INDEPENDENCE_RANGE"),
+                }
+            };
         }
+        by_degree!(
+            2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21, 22, 23, 24, 25,
+            26, 27, 28, 29, 30, 31, 32, 33, 34, 35, 36, 37, 38, 39, 40, 41, 42, 43, 44, 45, 46, 47,
+            48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63, 64
+        );
     }
 
-    /// ξ sign of family `idx` for an arbitrary key.
+    /// Writes every family's sign for one already-reduced key into `out`
+    /// (±1 as `i8`) — the sign-cache row fill, through
+    /// [`XiSlab::for_each_sign`].
+    ///
+    /// # Panics
+    /// Panics if `out.len() != families()`.
     #[inline]
-    pub fn sign(&self, idx: usize, key: u64) -> i64 {
-        self.sign_reduced(idx, m61::reduce(key))
+    pub fn fill_signs_reduced(&self, reduced_key: u64, out: &mut [i8]) {
+        self.for_each_sign(reduced_key, out, |o, sign| *o = sign);
+    }
+}
+
+/// The row kernel at degree `K`, over a slab of `K`-coefficient rows.
+///
+/// The powers `x⁰ … x^{K−1}` are computed once per key.  Each family then
+/// sums `Σ cᵢ·xⁱ` unreduced in a `u128` — its `K` multiplications are
+/// independent, so they pipeline across the slab instead of stalling on
+/// one serial Horner chain — and folds once with [`m61::reduce_wide`].
+/// Every coefficient and power is a residue below `P < 2^61`, so each
+/// product is below `2^122` and `K ≤ 64` of them fit in the `u128`.  The
+/// fold returns the canonical residue in `[0, P)`, which is unique, so its
+/// low bit — the sign — equals the Horner value's bit for bit.
+#[inline]
+fn sign_row<const K: usize, T>(
+    coeffs: &[u64],
+    x: u64,
+    out: &mut [T],
+    mut apply: impl FnMut(&mut T, i8),
+) {
+    let mut powers = [1u64; K];
+    let mut power = 1u64;
+    for slot in powers.iter_mut().skip(1) {
+        power = m61::mul(power, x);
+        *slot = power;
+    }
+    for (o, row) in out.iter_mut().zip(coeffs.chunks_exact(K)) {
+        let mut acc = 0u128;
+        for (&c, &p) in row.iter().zip(&powers) {
+            // lint:allow(L3, reason = "c, p < 2^61, so each product is < 2^122, and at most K <= 64 of them sum below 2^128")
+            acc += u128::from(c) * u128::from(p);
+        }
+        // lint:allow(L3, reason = "the bool is 0 or 1, so 2·b − 1 is ±1 and cannot overflow i8")
+        let sign = 2 * i8::from(m61::reduce_wide(acc) & 1 == 0) - 1;
+        apply(o, sign);
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use sketchtree_hash::Sign;
 
+    /// The keys where reduction and the field's edges meet.
+    const EDGE_KEYS: [u64; 5] = [0, 1, m61::P - 1, m61::P, u64::MAX];
+
+    /// Asserts the kernel's row for `key` equals `KWiseSign::sign` family
+    /// by family, the family rebuilt from its seed exactly as a sketch
+    /// would build it.
+    fn assert_row_matches_kwise(slab: &XiSlab, seed: u64, key: u64) {
+        let mut row = vec![0i8; slab.families()];
+        slab.fill_signs_reduced(m61::reduce(key), &mut row);
+        for (idx, &sign) in row.iter().enumerate() {
+            // lint:allow(L2, reason = "usize -> u64 is widening")
+            let family = KWiseSign::from_seed(SplitMix64::derive(seed, idx as u64), slab.independence());
+            assert_eq!(
+                i64::from(sign),
+                family.sign(key),
+                "k {} family {idx} key {key}",
+                slab.independence()
+            );
+        }
+    }
+
     /// The slab must reproduce the per-sketch construction bit for bit:
-    /// same derivation chain, same coefficients, same signs.
+    /// same derivation chain, same coefficients.
     #[test]
     fn slab_matches_per_family_kwise() {
         let (seed, families, k) = (0x5EED, 12usize, 5usize);
@@ -143,20 +200,25 @@ mod tests {
             // lint:allow(L2, reason = "usize -> u64 is widening")
             let reference = KWiseSign::from_seed(SplitMix64::derive(seed, idx as u64), k);
             assert_eq!(slab.coefficients(idx), reference.coefficients());
-            for key in [0u64, 1, 42, 1 << 61, u64::MAX] {
-                assert_eq!(slab.sign(idx, key), reference.sign(key), "family {idx} key {key}");
+        }
+    }
+
+    /// Every degree the slab admits, at the edge keys: the kernel row
+    /// equals Horner evaluation through `KWiseSign::sign`.
+    #[test]
+    fn row_kernel_matches_kwise_at_every_degree() {
+        for k in INDEPENDENCE_RANGE {
+            let slab = XiSlab::generate(0xABCD, 9, k);
+            for key in EDGE_KEYS.into_iter().chain([42, 1 << 61, 0xDEAD_BEEF_CAFE]) {
+                assert_row_matches_kwise(&slab, 0xABCD, key);
             }
         }
     }
 
     #[test]
-    fn reduced_and_unreduced_sign_agree() {
-        let slab = XiSlab::generate(9, 3, 4);
-        for key in [0u64, 7, m61::P, m61::P + 5, u64::MAX] {
-            let reduced = m61::reduce(key);
-            for idx in 0..3 {
-                assert_eq!(slab.sign(idx, key), slab.sign_reduced(idx, reduced));
-            }
+    fn out_of_range_degrees_rejected() {
+        for k in [0usize, 1, 65, 1000] {
+            assert!(std::panic::catch_unwind(|| XiSlab::generate(0, 3, k)).is_err(), "k {k}");
         }
     }
 
@@ -166,18 +228,18 @@ mod tests {
         XiSlab::generate(0, 0, 4);
     }
 
-    #[test]
-    fn fill_signs_matches_per_family_eval() {
-        for k in [4usize, 5, 7] {
-            let slab = XiSlab::generate(0xABCD, 9, k);
-            let mut buf = vec![0i8; slab.families()];
-            for key in [0u64, 1, 42, m61::P, u64::MAX] {
-                let reduced = m61::reduce(key);
-                slab.fill_signs_reduced(reduced, &mut buf);
-                for (idx, &sg) in buf.iter().enumerate() {
-                    assert_eq!(i64::from(sg), slab.sign_reduced(idx, reduced), "k {k} family {idx}");
-                }
-            }
+    proptest! {
+        /// Random seeds, degrees and keys (edge keys mixed in): the kernel
+        /// row equals `KWiseSign::sign` family by family.
+        #[test]
+        fn row_kernel_matches_kwise_property(
+            seed in any::<u64>(),
+            k in INDEPENDENCE_RANGE,
+            families in 1usize..24,
+            key in prop_oneof![any::<u64>(), (0..EDGE_KEYS.len()).prop_map(|i| EDGE_KEYS[i])],
+        ) {
+            let slab = XiSlab::generate(seed, families, k);
+            assert_row_matches_kwise(&slab, seed, key);
         }
     }
 }
