@@ -65,6 +65,6 @@ pub use metrics::{CoreMetrics, SketchHealth};
 pub use large::decompose as decompose_pattern;
 pub use markov::MarkovPathTable;
 pub use query::{parse_pattern, QueryError, QueryPattern};
-pub use sketchtree::{EnumScratch, SketchTree, SketchTreeConfig};
+pub use sketchtree::{CompiledQuery, EnumScratch, PlanDependency, SketchTree, SketchTreeConfig};
 pub use summary::StructuralSummary;
 pub use window::WindowedSketchTree;

@@ -30,7 +30,7 @@ use crate::summary::{ExpandError, ExpandLimits, StructuralSummary};
 use crate::unordered::{arrangements, ArrangementError};
 use sketchtree_sketch::expr::Term;
 use sketchtree_sketch::virtual_streams::SynopsisError;
-use sketchtree_sketch::{StreamSynopsis, SynopsisConfig};
+use sketchtree_sketch::{QueryPlan, StreamSynopsis, SynopsisConfig};
 use sketchtree_tree::{Label, LabelTable, NodeId, PruferSeq, Tree};
 use std::fmt;
 use std::sync::Arc;
@@ -159,6 +159,53 @@ pub type SummaryParts = (
     Vec<sketchtree_tree::Label>,
     Vec<(sketchtree_tree::Label, sketchtree_tree::Label)>,
 );
+
+/// What a compiled query depends on besides the counters — and so the
+/// only changes that make it stale ([`SketchTree::is_current`]).
+///
+/// A simple pattern's atoms are a function of its label *names* and the
+/// configuration alone (`to_tree`, then canonical label codes), so once
+/// every label resolves they never change.  Only two things move them:
+/// an unresolved label getting interned, and a `*` / `//` expansion
+/// meeting a new label or transition in the structural summary.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum PlanDependency {
+    /// Simple patterns whose labels all resolve (or a query that fails for
+    /// a reason the stream cannot change): never stale.
+    Fixed,
+    /// A simple pattern with a label the table has not interned (it counts
+    /// exactly zero): stale once the table holds more labels than this.
+    Labels(u64),
+    /// A wildcard or descendant expansion: stale once
+    /// [`SketchTree::structure_version`] moves from this stamp.
+    Structure((u64, u64)),
+}
+
+/// A count or expression query compiled against one synopsis: the plan
+/// that evaluates it as a walk over the counters ([`QueryPlan`]), or the
+/// reason it cannot be answered, plus what the compilation depended on.
+///
+/// Compile with [`SketchTree::compile_ordered`],
+/// [`SketchTree::compile_unordered`] or [`SketchTree::compile_expr`];
+/// evaluate with [`SketchTree::evaluate`] for as long as
+/// [`SketchTree::is_current`] holds.  Evaluation at any epoch is
+/// bit-identical to the matching ad-hoc call
+/// ([`SketchTree::count_ordered`] and friends), which compiles the same
+/// plan and evaluates it once.
+#[derive(Debug, Clone)]
+pub struct CompiledQuery {
+    /// `Ok(None)` is a query that folds to exactly zero (no atoms, or
+    /// every term cancelled).
+    plan: Result<Option<QueryPlan>, SketchTreeError>,
+    depends: PlanDependency,
+}
+
+impl CompiledQuery {
+    /// What this compilation depended on.
+    pub fn dependency(&self) -> PlanDependency {
+        self.depends
+    }
+}
 
 /// A count expression over textual patterns — the user-facing form of the
 /// Section 4 grammar, with both ordered and unordered leaves.
@@ -423,13 +470,13 @@ impl SketchTree {
         self.epoch += 1;
     }
 
-    /// A version stamp for the *structure* a compiled query plan depends
-    /// on: the label table (pattern labels resolve through it) and the
-    /// structural summary (wildcard/descendant queries expand through it).
-    /// Counts, unlike structure, don't invalidate a compiled plan — atoms
-    /// and lowered terms stay valid across ingests that add no new label
-    /// or transition, which is what makes standing-query re-evaluation
-    /// O(registered queries) per batch instead of O(query work).
+    /// A version stamp for the *structure* a wildcard or descendant query
+    /// expands through: the label table and the structural summary.  It
+    /// moves whenever a label is interned, which on a value-labelled
+    /// stream is nearly every batch, so only plans that expand through
+    /// the summary key on it ([`PlanDependency::Structure`]); simple
+    /// patterns depend on much less ([`SketchTree::is_current`]).
+    /// Counts, unlike structure, never invalidate a compiled plan.
     pub fn structure_version(&self) -> (u64, u64) {
         (
             self.labels.len() as u64,
@@ -634,13 +681,8 @@ impl SketchTree {
         }
     }
 
-    /// Resolves a textual pattern into the distinct concrete pattern trees
+    /// Resolves a parsed pattern into the distinct concrete pattern trees
     /// it denotes: itself if simple, its summary expansion otherwise.
-    fn resolve(&self, text: &str) -> Result<Vec<Tree>, SketchTreeError> {
-        let q = parse_pattern(text)?;
-        self.resolve_parsed(&q)
-    }
-
     fn resolve_parsed(&self, q: &QueryPattern) -> Result<Vec<Tree>, SketchTreeError> {
         // A pattern larger than k was never enumerated: estimates would be
         // pure noise. (For `//` queries the *expanded* patterns are checked
@@ -735,24 +777,124 @@ impl SketchTree {
 
     /// Estimates the total frequency of a sorted, deduplicated atom list —
     /// the evaluation half of [`SketchTree::count_ordered`] /
-    /// [`SketchTree::count_unordered`].  Exposed so a compiled standing
-    /// query can cache its atoms once and re-evaluate through *exactly*
-    /// this path, guaranteeing pushed estimates are bit-identical to
-    /// ad-hoc answers at the same epoch.
+    /// [`SketchTree::count_unordered`].  It compiles the atoms' plan and
+    /// evaluates it once; a [`CompiledQuery`] keeps that plan, which is
+    /// why pushed standing estimates are bit-identical to ad-hoc answers
+    /// at the same epoch.
     pub fn estimate_atoms(&self, atoms: &[u64]) -> f64 {
+        self.atom_plan(atoms).map_or(0.0, |plan| self.synopsis.evaluate(&plan))
+    }
+
+    /// The plan of a sorted, deduplicated atom list: none for no atoms
+    /// (exactly zero), a point plan for one (Theorem 1), a set plan for
+    /// several (Theorem 2).
+    fn atom_plan(&self, atoms: &[u64]) -> Option<QueryPlan> {
         match atoms {
-            [] => 0.0,
-            [one] => self.synopsis.estimate_count(*one),
-            many => self.synopsis.estimate_total(many),
+            [] => None,
+            [one] => Some(self.synopsis.compile_count(*one)),
+            many => Some(self.synopsis.compile_total(many)),
+        }
+    }
+
+    /// The plan of lowered terms: none when every term cancelled.
+    fn term_plan(&self, terms: &[Term]) -> Result<Option<QueryPlan>, SketchTreeError> {
+        if terms.is_empty() {
+            return Ok(None);
+        }
+        Ok(Some(self.synopsis.compile_terms(terms)?))
+    }
+
+    /// What a parsed pattern's atoms depend on (see [`PlanDependency`]).
+    fn pattern_dependency(&self, q: &QueryPattern) -> PlanDependency {
+        if !q.is_simple() {
+            return match &self.summary {
+                Some(_) => PlanDependency::Structure(self.structure_version()),
+                // Without a summary the query fails the same way forever.
+                None => PlanDependency::Fixed,
+            };
+        }
+        if q.edge_count() > self.config.max_pattern_edges || q.to_tree(&self.labels).is_some() {
+            PlanDependency::Fixed
+        } else {
+            PlanDependency::Labels(self.labels.len() as u64)
+        }
+    }
+
+    /// Compiles `COUNT_ord(pattern)` for repeated evaluation — the plan
+    /// [`SketchTree::count_ordered`] builds and evaluates once.
+    pub fn compile_ordered(&self, pattern: &str) -> CompiledQuery {
+        self.compile_pattern(pattern, Self::atoms_ordered_parsed)
+    }
+
+    /// Compiles unordered `COUNT(pattern)` for repeated evaluation — the
+    /// plan [`SketchTree::count_unordered`] builds and evaluates once.
+    pub fn compile_unordered(&self, pattern: &str) -> CompiledQuery {
+        self.compile_pattern(pattern, Self::atoms_unordered_parsed)
+    }
+
+    fn compile_pattern(
+        &self,
+        pattern: &str,
+        atoms: fn(&Self, &QueryPattern) -> Result<Vec<u64>, SketchTreeError>,
+    ) -> CompiledQuery {
+        match parse_pattern(pattern) {
+            Ok(q) => CompiledQuery {
+                plan: atoms(self, &q).map(|a| self.atom_plan(&a)),
+                depends: self.pattern_dependency(&q),
+            },
+            Err(e) => CompiledQuery { plan: Err(e.into()), depends: PlanDependency::Fixed },
+        }
+    }
+
+    /// Compiles a `+ − ×` expression for repeated evaluation — the plan
+    /// [`SketchTree::estimate`] builds and evaluates once.  It depends on
+    /// the most volatile of its leaves.
+    pub fn compile_expr(&self, expr: &CountExpr) -> CompiledQuery {
+        CompiledQuery {
+            plan: self.lower(expr).and_then(|terms| self.term_plan(&terms)),
+            depends: self.expr_dependency(expr),
+        }
+    }
+
+    fn expr_dependency(&self, expr: &CountExpr) -> PlanDependency {
+        match expr {
+            CountExpr::Ordered(p) | CountExpr::Unordered(p) => parse_pattern(p)
+                .map_or(PlanDependency::Fixed, |q| self.pattern_dependency(&q)),
+            CountExpr::Add(a, b) | CountExpr::Sub(a, b) | CountExpr::Mul(a, b) => {
+                self.expr_dependency(a).max(self.expr_dependency(b))
+            }
+        }
+    }
+
+    /// Whether a compiled query still denotes what compiling it now would
+    /// (see [`PlanDependency`]).
+    pub fn is_current(&self, compiled: &CompiledQuery) -> bool {
+        match compiled.depends {
+            PlanDependency::Fixed => true,
+            PlanDependency::Labels(n) => self.labels.len() as u64 == n,
+            PlanDependency::Structure(v) => self.structure_version() == v,
+        }
+    }
+
+    /// Evaluates a compiled query against the current counters.
+    pub fn evaluate(&self, compiled: &CompiledQuery) -> Result<f64, SketchTreeError> {
+        match &compiled.plan {
+            Ok(Some(plan)) => Ok(self.synopsis.evaluate(plan)),
+            Ok(None) => Ok(0.0),
+            Err(e) => Err(e.clone()),
         }
     }
 
     /// The distinct mapped values a textual ordered pattern denotes —
     /// the compilation half of [`SketchTree::count_ordered`].  The result
     /// is sorted and deduplicated, hence deterministic, and stays valid
-    /// until [`SketchTree::structure_version`] changes.
+    /// while the pattern's [`PlanDependency`] holds.
     pub fn atoms_ordered(&self, pattern: &str) -> Result<Vec<u64>, SketchTreeError> {
-        let trees = self.resolve(pattern)?;
+        self.atoms_ordered_parsed(&parse_pattern(pattern)?)
+    }
+
+    fn atoms_ordered_parsed(&self, q: &QueryPattern) -> Result<Vec<u64>, SketchTreeError> {
+        let trees = self.resolve_parsed(q)?;
         let mut atoms: Vec<u64> = trees.iter().map(|t| self.map_pattern(t)).collect();
         atoms.sort_unstable();
         atoms.dedup();
@@ -764,7 +906,11 @@ impl SketchTree {
     /// [`SketchTree::count_unordered`], with the same determinism and
     /// validity contract as [`SketchTree::atoms_ordered`].
     pub fn atoms_unordered(&self, pattern: &str) -> Result<Vec<u64>, SketchTreeError> {
-        let trees = self.resolve(pattern)?;
+        self.atoms_unordered_parsed(&parse_pattern(pattern)?)
+    }
+
+    fn atoms_unordered_parsed(&self, q: &QueryPattern) -> Result<Vec<u64>, SketchTreeError> {
+        let trees = self.resolve_parsed(q)?;
         let mut atoms = Vec::new();
         for t in &trees {
             for a in arrangements(t, self.config.max_arrangements)? {
@@ -802,20 +948,17 @@ impl SketchTree {
     }
 
     /// Evaluates pre-lowered estimator terms — the evaluation half of
-    /// [`SketchTree::estimate`], split out so compiled standing
-    /// expressions re-evaluate through the identical path as ad-hoc
-    /// expression queries (bit-for-bit, at any fixed epoch).
+    /// [`SketchTree::estimate`]: it compiles the terms' plan and evaluates
+    /// it once, as [`SketchTree::compile_expr`]'s plan evaluates on every
+    /// call (bit-for-bit the same, at any fixed epoch).
     pub fn estimate_lowered(&self, terms: &[Term]) -> Result<f64, SketchTreeError> {
-        if terms.is_empty() {
-            return Ok(0.0);
-        }
-        Ok(self.synopsis.estimate_terms(terms)?)
+        Ok(self.term_plan(terms)?.map_or(0.0, |plan| self.synopsis.evaluate(&plan)))
     }
 
     /// Lowers a [`CountExpr`] to estimator terms, constant-folding leaves
     /// with unseen labels to zero.  Like the atom lists, lowered terms are
-    /// deterministic (sorted, like terms merged) and stay valid until
-    /// [`SketchTree::structure_version`] changes.
+    /// deterministic (sorted, like terms merged) and stay valid while the
+    /// expression's [`PlanDependency`] holds.
     pub fn lower(&self, expr: &CountExpr) -> Result<Vec<Term>, SketchTreeError> {
         let mut terms = self.lower_rec(expr)?;
         // Merge like terms and drop zeros.
@@ -939,11 +1082,7 @@ impl SketchTree {
 
     /// Total-frequency estimate for distinct pre-mapped values (Theorem 2).
     pub fn estimate_values_total(&self, values: &[u64]) -> f64 {
-        match values {
-            [] => 0.0,
-            [one] => self.synopsis.estimate_count(*one),
-            many => self.synopsis.estimate_total(many),
-        }
+        self.estimate_atoms(values)
     }
 
     /// Product-of-counts estimate for distinct pre-mapped values
@@ -1455,6 +1594,50 @@ mod tests {
             (est - truth).abs() <= (truth * 0.3).max(10.0),
             "est {est} vs {truth}"
         );
+    }
+
+    #[test]
+    fn compiled_queries_record_what_they_depend_on() {
+        let mut st = build();
+        let ordered = st.compile_ordered("A(B,C)");
+        let unseen = st.compile_ordered("A(E)");
+        let wildcard = st.compile_unordered("A(*)");
+        let expr = crate::parse_expr("COUNT_ord(A(B)) * COUNT(A(E))").unwrap();
+        let mixed = st.compile_expr(&expr);
+        let too_big = st.compile_ordered("A(B(C(D(A))))");
+        let labels = st.labels().len() as u64;
+        assert_eq!(ordered.dependency(), PlanDependency::Fixed);
+        assert_eq!(unseen.dependency(), PlanDependency::Labels(labels));
+        assert_eq!(wildcard.dependency(), PlanDependency::Structure(st.structure_version()));
+        assert_eq!(mixed.dependency(), PlanDependency::Labels(labels));
+        assert_eq!(too_big.dependency(), PlanDependency::Fixed);
+        assert!(st.evaluate(&too_big).is_err());
+
+        // Compiled evaluation is the ad-hoc answer, to the bit.
+        let same = |st: &SketchTree, c: &CompiledQuery, want: f64| {
+            assert_eq!(st.evaluate(c).unwrap().to_bits(), want.to_bits());
+        };
+        same(&st, &ordered, st.count_ordered("A(B,C)").unwrap());
+        same(&st, &unseen, 0.0);
+        same(&st, &wildcard, st.count_unordered("A(*)").unwrap());
+        same(&st, &mixed, st.estimate(&expr).unwrap());
+
+        // Interning E stales the plans that named it, and only those.
+        let e = st.labels_mut().intern("E");
+        assert!(st.is_current(&ordered) && st.is_current(&too_big));
+        assert!(!st.is_current(&unseen) && !st.is_current(&mixed) && !st.is_current(&wildcard));
+        let a = st.labels().lookup("A").unwrap();
+        for _ in 0..20 {
+            st.ingest(&Tree::node(a, vec![Tree::leaf(e)]));
+        }
+        let live = st.compile_ordered("A(E)");
+        assert_eq!(live.dependency(), PlanDependency::Fixed);
+        assert_eq!(
+            st.evaluate(&live).unwrap().to_bits(),
+            st.count_ordered("A(E)").unwrap().to_bits()
+        );
+        // Counts move, a resolved plan does not need to: still bit-identical.
+        same(&st, &ordered, st.count_ordered("A(B,C)").unwrap());
     }
 
     #[test]

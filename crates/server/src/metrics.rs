@@ -102,6 +102,10 @@ pub struct ServerMetrics {
     /// (`sketchtree_standing_eval_seconds`); its `_count` equals the
     /// number of batches broadcast, independent of subscriber count.
     pub standing_eval_seconds: Arc<Histogram>,
+    /// Standing-query plan compilations
+    /// (`sketchtree_standing_compilations_total`); flat once every
+    /// registered query's labels have appeared.
+    pub standing_compilations: Arc<Counter>,
     /// Seconds per batch fanning evaluated results out to subscriber
     /// queues (`sketchtree_push_seconds`).
     pub push_seconds: Arc<Histogram>,
@@ -262,6 +266,10 @@ impl ServerMetrics {
             standing_eval_seconds: registry.histogram(
                 "sketchtree_standing_eval_seconds",
                 "Seconds per batch re-evaluating every registered standing query",
+            ),
+            standing_compilations: registry.counter(
+                "sketchtree_standing_compilations_total",
+                "Standing-query plans compiled or recompiled during broadcasts",
             ),
             push_seconds: registry.histogram(
                 "sketchtree_push_seconds",

@@ -179,8 +179,14 @@ impl Subscriptions {
         }
         *gate = epoch;
         let eval_started = Instant::now();
+        // Only broadcasts evaluate (and so compile), and the gate
+        // serializes them, so the difference is this evaluation's count.
+        let compiled_before = self.registry.compilations();
         let results: HashMap<_, _> = self.registry.evaluate_all(st).into_iter().collect();
         self.metrics.standing_eval_seconds.observe_duration(eval_started.elapsed());
+        self.metrics
+            .standing_compilations
+            .add(self.registry.compilations().saturating_sub(compiled_before));
 
         let push_started = Instant::now();
         let mut table = self.lock_table();
@@ -224,12 +230,6 @@ impl Subscriptions {
     /// Distinct compiled plans resident in the registry.
     pub fn distinct_queries(&self) -> usize {
         self.registry.distinct_queries()
-    }
-
-    /// Total compiled-plan compilations performed since start — constant
-    /// across batches once the stream's structure goes quiet.
-    pub fn compilations(&self) -> u64 {
-        self.registry.compilations()
     }
 
     fn lock_table(&self) -> MutexGuard<'_, HashMap<u64, SubEntry>> {
@@ -346,6 +346,31 @@ mod tests {
         assert_eq!(s.active(), 1);
         assert_eq!(s.metrics.subscriptions_active.get(), 1.0);
         assert!(s.unsubscribe(2, keep));
+    }
+
+    #[test]
+    fn compilations_stay_flat_while_unrelated_labels_arrive() {
+        // A value-labelled stream interns a fresh label every batch.  The
+        // subscribed patterns name only labels already seen, so after the
+        // first evaluation nothing recompiles.
+        let s = subs();
+        let (tx, rx) = sync_channel::<Response>(64);
+        s.subscribe(1, spec("A(B)"), tx.clone()).unwrap();
+        s.subscribe(1, QuerySpec::parse(QueryMode::Unordered, "A(B,B)").unwrap(), tx).unwrap();
+        let mut st = synopsis();
+        s.broadcast(&st);
+        let after_first = s.metrics.standing_compilations.get();
+        assert_eq!(after_first, 2, "one compilation per distinct query");
+        let a = st.labels_mut().intern("A");
+        for i in 0..10 {
+            let fresh = st.labels_mut().intern(&format!("value-{i}"));
+            st.ingest(&sketchtree_tree::Tree::node(a, vec![sketchtree_tree::Tree::leaf(fresh)]));
+            s.broadcast(&st);
+        }
+        assert_eq!(s.metrics.standing_compilations.get(), after_first);
+        assert_eq!(rx.try_iter().count(), 22, "every broadcast still pushed both updates");
+        let text = s.metrics.render(false);
+        assert!(text.contains("sketchtree_standing_compilations_total 2\n"), "{text}");
     }
 
     #[test]

@@ -13,6 +13,9 @@
 //!   Section 4 / Appendix C;
 //! * [`expr`] — the `+ − ×` query-expression AST and its expansion into
 //!   estimator terms;
+//! * [`plan`] — [`plan::QueryPlan`], a count, set or expression query
+//!   compiled once into ξ rows so every later evaluation is a walk over
+//!   the counters of the banks it touches;
 //! * [`heap`] — an indexed min-heap supporting decrease/removal by key
 //!   (the `H` of Algorithm 4);
 //! * [`topk`] — [`topk::TopKTracker`], the top-k frequent-value strategy of
@@ -38,6 +41,7 @@ pub mod countsketch;
 pub mod expr;
 pub mod frequent;
 pub mod heap;
+pub mod plan;
 pub mod topk;
 pub mod virtual_streams;
 pub mod xislab;
@@ -45,6 +49,7 @@ pub mod xislab;
 pub use ams::AmsSketch;
 pub use bank::{SketchBank, SketchView};
 pub use expr::{Expr, ExprError};
+pub use plan::QueryPlan;
 pub use topk::TopKTracker;
 pub use virtual_streams::{StreamSynopsis, SynopsisConfig, SynopsisState};
 pub use xislab::{XiSlab, INDEPENDENCE_RANGE};

@@ -15,7 +15,7 @@
 //! per-sketch values *before* boosting (means/medians are nonlinear), using
 //! the flat sketch access of [`SketchBank`].
 
-use crate::bank::{self, SketchBank};
+use crate::bank::SketchBank;
 use crate::expr::{Expr, ExprError};
 use crate::topk::TopKTracker;
 use crate::xislab::XiSlab;
@@ -312,7 +312,7 @@ impl StreamSynopsis {
     }
 
     #[inline]
-    fn route(&self, value: u64) -> usize {
+    pub(crate) fn route(&self, value: u64) -> usize {
         // lint:allow(L2, reason = "usize -> u64 is widening, and the remainder is < banks.len() so the way back always fits")
         (value % self.banks.len() as u64) as usize
     }
@@ -408,51 +408,37 @@ impl StreamSynopsis {
         self.values_processed = self.values_processed.saturating_sub(1);
     }
 
-    /// The restore list for a set of query values within one bank.
-    fn bank_restores(&self, bank: usize, queries: &[u64]) -> Vec<(u64, i64)> {
-        let in_bank: Vec<u64> = queries
-            .iter()
-            .copied()
-            .filter(|&q| self.route(q) == bank)
-            .collect();
-        self.topks
-            .get(bank)
-            .map(|t| t.restore_list(&in_bank))
-            .unwrap_or_default()
+    /// The number of sketches per bank (`s1 · s2`), one ξ family each.
+    pub(crate) fn families(&self) -> usize {
+        self.first_bank().num_sketches()
     }
 
-    /// Estimates `COUNT` of a single value (Theorem 1).
+    /// The ξ slab every bank shares.
+    pub(crate) fn xi(&self) -> &XiSlab {
+        self.first_bank().xi()
+    }
+
+    /// Virtual stream `r`'s bank and top-k tracker.
+    pub(crate) fn partition(&self, r: usize) -> Option<(&SketchBank, &TopKTracker)> {
+        self.banks.get(r).zip(self.topks.get(r))
+    }
+
+    /// Boosts a flat per-sketch vector (mean of `s1`, median of `s2`).
+    pub(crate) fn boost(&self, acc: &[f64]) -> f64 {
+        self.first_bank().boost(acc)
+    }
+
+    /// Estimates `COUNT` of a single value (Theorem 1): compiles the
+    /// query ([`StreamSynopsis::compile_count`]) and evaluates it once.
     pub fn estimate_count(&self, value: u64) -> f64 {
-        let r = self.route(value);
-        let restore = self.bank_restores(r, &[value]);
-        self.banks
-            .get(r)
-            .map_or(0.0, |b| b.estimate_point_restored(value, &restore))
+        self.evaluate(&self.compile_count(value))
     }
 
     /// Estimates the total frequency of a set of *distinct* values
     /// (Theorem 2).  Values may span several virtual streams; per-sketch
     /// contributions are combined across banks before boosting.
     pub fn estimate_total(&self, values: &[u64]) -> f64 {
-        let n = self.first_bank().num_sketches();
-        let mut acc = vec![0.0f64; n];
-        for (b, (bank, topk)) in self.banks.iter().zip(&self.topks).enumerate() {
-            let in_bank: Vec<u64> = values
-                .iter()
-                .copied()
-                .filter(|&v| self.route(v) == b)
-                .collect();
-            if in_bank.is_empty() {
-                continue;
-            }
-            let restore = topk.restore_list(&in_bank);
-            bank.accumulate(&mut acc, |s| {
-                let x_eff = bank::effective_x(s, &restore);
-                let xi_sum: i64 = in_bank.iter().map(|&v| s.sign(v)).sum();
-                xi_sum as f64 * x_eff as f64
-            });
-        }
-        self.first_bank().boost(&acc)
+        self.evaluate(&self.compile_total(values))
     }
 
     /// Estimates a general query expression (Section 4).
@@ -473,70 +459,7 @@ impl StreamSynopsis {
     /// Every term's queries must be distinct within the term and the
     /// synopsis must have `2k+1`-wise ξ independence for the largest term.
     pub fn estimate_terms(&self, terms: &[crate::expr::Term]) -> Result<f64, SynopsisError> {
-        let max_k = terms.iter().map(|t| t.queries.len()).max().unwrap_or(0);
-        let required = 2 * max_k + 1;
-        let actual = self.config.independence.max(4);
-        if max_k > 1 && required > actual {
-            return Err(SynopsisError::InsufficientIndependence { required, actual });
-        }
-        // Within one term, a repeated query would make ξ_q² = 1 and bias
-        // the estimator — the distinctness the paper assumes.
-        for t in terms {
-            for w in t.queries.windows(2) {
-                // Term queries are kept sorted by construction.
-                if let [a, b] = w {
-                    if a == b {
-                        return Err(SynopsisError::Expr(ExprError::DuplicateQuery(*a)));
-                    }
-                }
-            }
-        }
-        let mut queries: Vec<u64> = terms.iter().flat_map(|t| t.queries.iter().copied()).collect();
-        queries.sort_unstable();
-        queries.dedup();
-        // Effective X per (bank, sketch idx), with per-bank restores for all
-        // queries of the expression.
-        let n = self.first_bank().num_sketches();
-        let mut x_eff: Vec<Vec<i64>> = Vec::with_capacity(self.banks.len());
-        for (b, bank) in self.banks.iter().enumerate() {
-            let restore = self.bank_restores(b, &queries);
-            let mut xs = Vec::with_capacity(n);
-            for idx in 0..n {
-                xs.push(bank::effective_x(bank.sketch_at(idx), &restore));
-            }
-            x_eff.push(xs);
-        }
-        // Which banks each term touches.
-        let term_banks: Vec<Vec<usize>> = terms
-            .iter()
-            .map(|t| {
-                let mut b: Vec<usize> = t.queries.iter().map(|&q| self.route(q)).collect();
-                b.sort_unstable();
-                b.dedup();
-                b
-            })
-            .collect();
-        let acc: Vec<f64> = (0..n)
-            .map(|idx| {
-                let sketch = self.first_bank().sketch_at(idx);
-                terms
-                    .iter()
-                    .zip(&term_banks)
-                    .map(|(t, banks)| {
-                        let x: i64 = banks
-                            .iter()
-                            .map(|&b| {
-                                x_eff.get(b).and_then(|xs| xs.get(idx)).copied().unwrap_or(0)
-                            })
-                            .sum();
-                        // ξ families are shared across banks, so any bank's
-                        // sketch at this index gives the right signs.
-                        bank::term_value(sketch, t, x as f64)
-                    })
-                    .sum()
-            })
-            .collect();
-        Ok(self.first_bank().boost(&acc))
+        Ok(self.evaluate(&self.compile_terms(terms)?))
     }
 
     /// Estimates the *residual* self-join size — `Σ f_i²` of what is still

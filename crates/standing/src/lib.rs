@@ -1,27 +1,37 @@
 //! Standing queries over a [`SketchTree`] synopsis.
 //!
 //! Every ad-hoc `COUNT(Q)` pays the full query pipeline — parse, summary
-//! expansion, arrangement enumeration, fingerprint mapping — before the
-//! sketch is even touched, so serving the same dashboard query at high
-//! QPS costs `O(query work × QPS)`.  This crate is the delta-query
-//! architecture on top of the paper's linear sketch: register a query
-//! once, keep its *compiled plan* (the sorted atom list or lowered
-//! estimator terms) resident, and re-evaluate all registered queries once
-//! per ingest batch — `O(registered queries)` per batch, independent of
-//! how many subscribers read the pushed results.
+//! expansion, arrangement enumeration, fingerprint mapping, and the ξ
+//! rows of every atom — before the counters are even read, so serving
+//! the same dashboard query at high QPS costs `O(query work × QPS)`.
+//! This crate is the delta-query architecture on top of the paper's
+//! linear sketch: register a query once, keep its *compiled plan*
+//! ([`CompiledQuery`]: the atoms' or terms' ξ rows, grouped by virtual
+//! stream) resident, and re-evaluate all registered queries once per
+//! ingest batch — `O(registered queries)` walks over the counters of the
+//! banks they touch, independent of how many subscribers read the pushed
+//! results.
 //!
 //! Two invariants make the design sound:
 //!
-//! 1. **Compiled plans are pure functions of structure.**  A pattern's
-//!    atoms depend only on the label table and the structural summary
-//!    (plus fixed configuration), never on the counters, so they stay
-//!    valid until [`SketchTree::structure_version`] changes — which on a
-//!    steady stream stops changing once the schema has been seen.
-//! 2. **Evaluation reuses the ad-hoc code path.**  A compiled plan is
-//!    evaluated through [`SketchTree::estimate_atoms`] /
-//!    [`SketchTree::estimate_lowered`], the exact functions the ad-hoc
-//!    entry points call after their own compilation step, so a pushed
-//!    estimate is *bit-identical* to an ad-hoc answer at the same epoch.
+//! 1. **Compiled plans go stale only on a real dependency.**  A plan
+//!    depends on the counters only through evaluation, never through
+//!    compilation.  A simple pattern whose labels all resolve depends on
+//!    nothing else (its atoms are a function of label names and the
+//!    configuration), so it compiles once for the registration's
+//!    lifetime.  A pattern naming a label the stream has not produced yet
+//!    recompiles when the label table grows — that is how it flips from
+//!    constant zero to live — and a `*` / `//` pattern recompiles when
+//!    [`SketchTree::structure_version`] moves.  On a value-labelled
+//!    stream the label table grows nearly every batch, so the structure
+//!    version never settles; only the plans that expand through it pay
+//!    for that ([`SketchTree::is_current`]).
+//! 2. **Evaluation is the ad-hoc evaluator.**  The ad-hoc entry points
+//!    ([`SketchTree::count_ordered`] and friends) compile the same plan
+//!    and evaluate it once through [`SketchTree::evaluate`]; a standing
+//!    query keeps the plan and evaluates it every batch.  A pushed
+//!    estimate is therefore *bit-identical* to an ad-hoc answer at the
+//!    same epoch.
 //!
 //! The crate is transport-agnostic: [`QueryRegistry`] knows nothing about
 //! connections or sockets.  The server layers subscription tables and
@@ -33,9 +43,8 @@
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-use sketchtree_core::sketchtree::{CountExpr, SketchTree};
+use sketchtree_core::sketchtree::{CompiledQuery, CountExpr, SketchTree};
 use sketchtree_core::{parse_expr, parse_pattern};
-use sketchtree_sketch::expr::Term;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -120,28 +129,11 @@ impl QuerySpec {
 /// cannot currently be answered (e.g. expansion overflow).
 pub type EstimateResult = Result<f64, String>;
 
-/// A compiled resident plan: what is left of a query after the expensive
-/// compilation half of the pipeline has run.
-enum Plan {
-    /// Sorted, deduplicated mapped values — evaluated via
-    /// [`SketchTree::estimate_atoms`].
-    Atoms(Vec<u64>),
-    /// Lowered estimator terms — evaluated via
-    /// [`SketchTree::estimate_lowered`].
-    Terms(Vec<Term>),
-}
-
-/// A plan tagged with the structure version it was compiled against.
-struct Compiled {
-    plan: Result<Plan, String>,
-    structure: (u64, u64),
-}
-
 /// One distinct registered query (shared by all duplicate registrations).
 struct Entry {
     spec: QuerySpec,
     refs: usize,
-    compiled: Option<Compiled>,
+    compiled: Option<CompiledQuery>,
 }
 
 #[derive(Default)]
@@ -157,8 +149,8 @@ struct Inner {
 /// Registrations are refcounted by canonical key: ten subscribers to
 /// `article(author)` share one [`QuerySpec`], one compiled plan, and one
 /// evaluation per batch.  [`QueryRegistry::evaluate_all`] is the per-batch
-/// entry point; it recompiles a plan only when the synopsis'
-/// [`SketchTree::structure_version`] moved since the plan was built.
+/// entry point; it recompiles a plan only when [`SketchTree::is_current`]
+/// says what it depends on has moved.
 #[derive(Default)]
 pub struct QueryRegistry {
     inner: Mutex<Inner>,
@@ -219,57 +211,46 @@ impl QueryRegistry {
         self.lock().by_key.len()
     }
 
-    /// Total plan compilations performed since creation.  A steady stream
-    /// holds this constant while `evaluate_all` keeps running — the
-    /// observable proof of compiled-plan reuse.
+    /// Total plan compilations performed since creation.  Once every
+    /// registered query's labels have appeared, a stream that adds no new
+    /// transition under a `*` / `//` query holds this constant while
+    /// `evaluate_all` keeps running — the observable proof of
+    /// compiled-plan reuse.
     pub fn compilations(&self) -> u64 {
         self.compilations.load(Ordering::Relaxed)
     }
 
     /// Re-evaluates every distinct registered query against `st`,
     /// returning `(canonical key, estimate)` pairs.  Cost per call is one
-    /// sketch evaluation per distinct query — plans are only recompiled
-    /// when the structure version moved.
+    /// plan evaluation per distinct query — plans are only recompiled
+    /// when what they depend on moved ([`SketchTree::is_current`]).
     ///
     /// Call this under the same lock scope that observed the batch (the
     /// [`sketchtree_core::concurrent::SharedSketchTree`] batch hook does),
     /// so every returned estimate belongs to exactly `st.epoch()`.
     pub fn evaluate_all(&self, st: &SketchTree) -> Vec<(String, EstimateResult)> {
-        let structure = st.structure_version();
         let mut inner = self.lock();
         let mut out = Vec::with_capacity(inner.by_key.len());
         for (key, entry) in inner.by_key.iter_mut() {
-            if entry.compiled.as_ref().map(|c| c.structure) != Some(structure) {
-                entry.compiled = Some(Self::compile(&entry.spec, st, structure));
-                self.compilations.fetch_add(1, Ordering::Relaxed);
+            if !entry.compiled.as_ref().is_some_and(|c| st.is_current(c)) {
+                entry.compiled = None;
             }
-            let compiled = entry.compiled.as_ref().expect("just compiled");
-            out.push((key.clone(), Self::eval(compiled, st)));
+            let compiled = entry.compiled.get_or_insert_with(|| {
+                self.compilations.fetch_add(1, Ordering::Relaxed);
+                Self::compile(&entry.spec, st)
+            });
+            out.push((key.clone(), st.evaluate(compiled).map_err(|e| e.to_string())));
         }
         out
     }
 
-    fn compile(spec: &QuerySpec, st: &SketchTree, structure: (u64, u64)) -> Compiled {
-        let plan = match spec.mode {
-            QueryMode::Ordered => {
-                st.atoms_ordered(&spec.text).map(Plan::Atoms).map_err(|e| e.to_string())
-            }
-            QueryMode::Unordered => {
-                st.atoms_unordered(&spec.text).map(Plan::Atoms).map_err(|e| e.to_string())
-            }
+    fn compile(spec: &QuerySpec, st: &SketchTree) -> CompiledQuery {
+        match spec.mode {
+            QueryMode::Ordered => st.compile_ordered(&spec.text),
+            QueryMode::Unordered => st.compile_unordered(&spec.text),
             QueryMode::Expr => {
-                let expr = spec.expr.as_ref().expect("expr specs carry their parse");
-                st.lower(expr).map(Plan::Terms).map_err(|e| e.to_string())
+                st.compile_expr(spec.expr.as_ref().expect("expr specs carry their parse"))
             }
-        };
-        Compiled { plan, structure }
-    }
-
-    fn eval(compiled: &Compiled, st: &SketchTree) -> EstimateResult {
-        match &compiled.plan {
-            Err(e) => Err(e.clone()),
-            Ok(Plan::Atoms(atoms)) => Ok(st.estimate_atoms(atoms)),
-            Ok(Plan::Terms(terms)) => st.estimate_lowered(terms).map_err(|e| e.to_string()),
         }
     }
 
@@ -430,13 +411,43 @@ mod tests {
             want_expr.to_bits()
         );
 
-        // New label + transition ⇒ structure version moves ⇒ recompile.
+        // A new label and transition move the structure version, but
+        // these plans name only resolved labels: nothing recompiles.
         let before = reg.compilations();
         let d = st.labels_mut().intern("D");
         let a = st.labels().lookup("A").unwrap();
         st.ingest(&sketchtree_tree::Tree::node(a, vec![sketchtree_tree::Tree::leaf(d)]));
         reg.evaluate_all(&st);
-        assert!(reg.compilations() > before, "structure change must recompile");
+        assert_eq!(reg.compilations(), before, "resolved simple plans never go stale");
+    }
+
+    #[test]
+    fn an_unresolved_label_recompiles_until_it_appears() {
+        let reg = QueryRegistry::new();
+        reg.register(QuerySpec::parse(QueryMode::Ordered, "A(E)").unwrap());
+        let mut st = synopsis();
+        let zero: HashMap<_, _> = reg.evaluate_all(&st).into_iter().collect();
+        assert_eq!(zero["ord:A(E)"], Ok(0.0), "an unseen label counts exactly zero");
+        reg.evaluate_all(&st);
+        assert_eq!(reg.compilations(), 1, "no new label, no recompile");
+
+        // The label appears: the plan recompiles and goes live.
+        let a = st.labels().lookup("A").unwrap();
+        let e = st.labels_mut().intern("E");
+        let t = sketchtree_tree::Tree::node(a, vec![sketchtree_tree::Tree::leaf(e)]);
+        for _ in 0..5 {
+            st.ingest(&t);
+        }
+        let live: HashMap<_, _> = reg.evaluate_all(&st).into_iter().collect();
+        assert_eq!(reg.compilations(), 2);
+        let want = st.count_ordered("A(E)").unwrap();
+        assert_eq!(live["ord:A(E)"].as_ref().unwrap().to_bits(), want.to_bits());
+        assert!(want > 0.0);
+
+        // Resolved now: further labels leave it compiled.
+        st.labels_mut().intern("F");
+        reg.evaluate_all(&st);
+        assert_eq!(reg.compilations(), 2);
     }
 
     #[test]

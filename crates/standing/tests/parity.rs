@@ -5,6 +5,10 @@
 //! hook) is **bit-identical** to an ad-hoc query issued at the same
 //! epoch through the from-scratch pipeline.  This is the invariant that
 //! lets subscribers trust pushed updates as if they had queried.
+//!
+//! The second property grows the label universe mid-stream, the way a
+//! value-labelled stream does: fresh labels every batch, and a query
+//! naming a label that only appears later (constant zero until then).
 
 use sketchtree_core::concurrent::SharedSketchTree;
 use sketchtree_core::sketchtree::{SketchTree, SketchTreeConfig};
@@ -135,5 +139,100 @@ proptest::proptest! {
         proptest::prop_assert!(
             registry.compilations() <= batches * registered.len() as u64
         );
+    }
+}
+
+/// Queries whose labels all resolve before the first batch: compiled
+/// once, whatever the stream interns afterwards.
+const RESOLVED: &[(QueryMode, &str)] = &[
+    (QueryMode::Ordered, "L0(L1)"),
+    (QueryMode::Ordered, "L1(L2,L3)"),
+    (QueryMode::Unordered, "L0(L1,L2)"),
+    (QueryMode::Expr, "COUNT_ord(L0(L1)) - COUNT(L2(L3))"),
+];
+
+/// Queries naming `L5`, which the stream only produces from batch
+/// `reveal` on.
+const LATE: &[(QueryMode, &str)] = &[
+    (QueryMode::Ordered, "L0(L5)"),
+    (QueryMode::Unordered, "L5(L0,L1)"),
+    (QueryMode::Expr, "COUNT_ord(L0(L5)) + COUNT_ord(L0(L1))"),
+    (QueryMode::Ordered, "L5(*)"),
+];
+
+proptest::proptest! {
+    #![proptest_config(proptest::prelude::ProptestConfig::with_cases(6))]
+    #[test]
+    fn pushed_estimates_stay_bit_identical_while_the_label_universe_grows(
+        trees in proptest::prop::collection::vec(arb_tree(), 4..24),
+        batch_size in 1usize..5,
+        reveal in 0usize..6,
+    ) {
+        let shared = SharedSketchTree::new(SketchTree::new(config()));
+        let base: Vec<Label> = shared.with_labels(|l| {
+            ["L0", "L1", "L2", "L3"].iter().map(|name| l.intern(name)).collect()
+        });
+
+        let registry = Arc::new(QueryRegistry::new());
+        let resolved = Arc::new(QueryRegistry::new());
+        let mut registered: Vec<(QueryMode, &str, String)> = Vec::new();
+        for &(mode, text) in POOL.iter().chain(LATE) {
+            let spec = QuerySpec::parse(mode, text).expect("pool queries parse");
+            registered.push((mode, text, spec.key()));
+            registry.register(spec);
+        }
+        for &(mode, text) in RESOLVED {
+            resolved.register(QuerySpec::parse(mode, text).expect("resolved queries parse"));
+        }
+
+        type Update = (u64, Vec<(String, EstimateResult)>);
+        let pushed: Arc<Mutex<Vec<Update>>> = Arc::new(Mutex::new(Vec::new()));
+        let sink = Arc::clone(&pushed);
+        let (reg, res) = (Arc::clone(&registry), Arc::clone(&resolved));
+        shared.add_batch_hook(Arc::new(move |st: &SketchTree| {
+            res.evaluate_all(st);
+            sink.lock().unwrap().push((st.epoch(), reg.evaluate_all(st)));
+        }));
+
+        let late_key = QuerySpec::parse(QueryMode::Ordered, "L0(L5)").unwrap().key();
+        for (i, chunk) in trees.chunks(batch_size).enumerate() {
+            // A fresh value label under L0 every batch, and from batch
+            // `reveal` on the late label too.
+            let fresh = shared.with_labels(|l| l.intern(&format!("v{i}")));
+            let mut batch: Vec<Tree> = chunk.to_vec();
+            batch.push(Tree::node(base[0], vec![Tree::leaf(fresh)]));
+            if i >= reveal {
+                let l5 = shared.with_labels(|l| l.intern("L5"));
+                batch.push(Tree::node(base[0], vec![Tree::leaf(l5)]));
+                batch.push(Tree::node(l5, vec![Tree::leaf(base[0]), Tree::leaf(base[1])]));
+            }
+            shared.ingest_batch(&batch);
+            let (epoch, results) = pushed.lock().unwrap().last().cloned().expect("hook fired");
+            proptest::prop_assert_eq!(epoch, shared.epoch());
+            let results: HashMap<String, EstimateResult> = results.into_iter().collect();
+            for (mode, text, key) in &registered {
+                let want = shared.read(|st| adhoc(st, *mode, text));
+                let got = results.get(key).expect("every registered query is pushed");
+                match (got, &want) {
+                    (Ok(g), Ok(w)) => proptest::prop_assert_eq!(
+                        g.to_bits(),
+                        w.to_bits(),
+                        "{} diverged at epoch {}: pushed {} vs ad-hoc {}",
+                        key, epoch, g, w
+                    ),
+                    (Err(g), Err(w)) => proptest::prop_assert_eq!(g, w),
+                    (g, w) => proptest::prop_assert!(false, "{key}: pushed {g:?} but ad-hoc {w:?}"),
+                }
+            }
+            // Constant zero until the label exists, live from then on.
+            let late = results[&late_key].as_ref().copied().unwrap_or(f64::NAN);
+            if i < reveal {
+                proptest::prop_assert_eq!(late.to_bits(), 0f64.to_bits());
+            } else {
+                proptest::prop_assert!(late != 0.0, "L0(L5) still zero after it appeared");
+            }
+        }
+        // Fresh labels every batch never recompiled a resolved simple plan.
+        proptest::prop_assert_eq!(resolved.compilations(), RESOLVED.len() as u64);
     }
 }

@@ -63,9 +63,13 @@ echo "==> standing-query parity (pushed == ad-hoc, bit-for-bit)"
 # A pushed EstimateUpdate must be bit-identical to an ad-hoc COUNT of
 # the same pattern at the same synopsis epoch.  The property test runs
 # in the sweep above; naming it here gives any divergence between the
-# compiled-plan path and the ad-hoc path its own banner.
+# compiled-plan path and the ad-hoc path its own banner.  The second
+# test grows the label universe every batch (as value labels do) and
+# checks that resolved simple plans compile exactly once.
 cargo test --quiet -p sketchtree-standing --test parity \
     pushed_estimates_are_bit_identical_to_adhoc_at_same_epoch
+cargo test --quiet -p sketchtree-standing --test parity \
+    pushed_estimates_stay_bit_identical_while_the_label_universe_grows
 
 echo "==> loadgen-smoke (mixed-load harness end-to-end + BENCH schema)"
 # One short open-loop run against an in-process server: the emitted
