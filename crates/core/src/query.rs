@@ -254,6 +254,26 @@ impl QueryPattern {
         self.node_count() - 1
     }
 
+    /// The distinct label names of this pattern that `labels` has not
+    /// interned, sorted.  Empty exactly when every named label resolves.
+    pub fn unresolved_labels(&self, labels: &LabelTable) -> Vec<String> {
+        fn walk(node: &QueryNode, labels: &LabelTable, out: &mut Vec<String>) {
+            if let QueryLabel::Name(name) = &node.label {
+                if labels.lookup(name).is_none() {
+                    out.push(name.clone());
+                }
+            }
+            for child in &node.children {
+                walk(child, labels, out);
+            }
+        }
+        let mut out = Vec::new();
+        walk(&self.root, labels, &mut out);
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
     /// Resolves a *simple* pattern against a label table.  Returns
     /// `Ok(None)` when some label has never been seen in the stream — the
     /// pattern's exact count is provably zero.

@@ -166,16 +166,17 @@ pub type SummaryParts = (
 /// A simple pattern's atoms are a function of its label *names* and the
 /// configuration alone (`to_tree`, then canonical label codes), so once
 /// every label resolves they never change.  Only two things move them:
-/// an unresolved label getting interned, and a `*` / `//` expansion
-/// meeting a new label or transition in the structural summary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+/// one of its unresolved labels getting interned, and a `*` / `//`
+/// expansion meeting a new label or transition in the structural summary.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanDependency {
     /// Simple patterns whose labels all resolve (or a query that fails for
     /// a reason the stream cannot change): never stale.
     Fixed,
-    /// A simple pattern with a label the table has not interned (it counts
-    /// exactly zero): stale once the table holds more labels than this.
-    Labels(u64),
+    /// Simple patterns naming labels the table has not interned (they
+    /// count exactly zero): stale once any of these names, sorted and
+    /// deduplicated, is interned.  Other labels arriving leave it current.
+    Labels(Vec<String>),
     /// A wildcard or descendant expansion: stale once
     /// [`SketchTree::structure_version`] moves from this stamp.
     Structure((u64, u64)),
@@ -202,8 +203,8 @@ pub struct CompiledQuery {
 
 impl CompiledQuery {
     /// What this compilation depended on.
-    pub fn dependency(&self) -> PlanDependency {
-        self.depends
+    pub fn dependency(&self) -> &PlanDependency {
+        &self.depends
     }
 }
 
@@ -813,10 +814,14 @@ impl SketchTree {
                 None => PlanDependency::Fixed,
             };
         }
-        if q.edge_count() > self.config.max_pattern_edges || q.to_tree(&self.labels).is_some() {
+        if q.edge_count() > self.config.max_pattern_edges {
+            return PlanDependency::Fixed;
+        }
+        let missing = q.unresolved_labels(&self.labels);
+        if missing.is_empty() {
             PlanDependency::Fixed
         } else {
-            PlanDependency::Labels(self.labels.len() as u64)
+            PlanDependency::Labels(missing)
         }
     }
 
@@ -848,7 +853,7 @@ impl SketchTree {
 
     /// Compiles a `+ − ×` expression for repeated evaluation — the plan
     /// [`SketchTree::estimate`] builds and evaluates once.  It depends on
-    /// the most volatile of its leaves.
+    /// everything its leaves depend on.
     pub fn compile_expr(&self, expr: &CountExpr) -> CompiledQuery {
         CompiledQuery {
             plan: self.lower(expr).and_then(|terms| self.term_plan(&terms)),
@@ -861,7 +866,24 @@ impl SketchTree {
             CountExpr::Ordered(p) | CountExpr::Unordered(p) => parse_pattern(p)
                 .map_or(PlanDependency::Fixed, |q| self.pattern_dependency(&q)),
             CountExpr::Add(a, b) | CountExpr::Sub(a, b) | CountExpr::Mul(a, b) => {
-                self.expr_dependency(a).max(self.expr_dependency(b))
+                match (self.expr_dependency(a), self.expr_dependency(b)) {
+                    // The structure stamp counts every label, so it moves
+                    // whenever a missing name could resolve.
+                    (PlanDependency::Structure(v), _) | (_, PlanDependency::Structure(v)) => {
+                        PlanDependency::Structure(v)
+                    }
+                    (PlanDependency::Labels(mut x), PlanDependency::Labels(y)) => {
+                        x.extend(y);
+                        x.sort_unstable();
+                        x.dedup();
+                        PlanDependency::Labels(x)
+                    }
+                    (PlanDependency::Labels(x), PlanDependency::Fixed)
+                    | (PlanDependency::Fixed, PlanDependency::Labels(x)) => {
+                        PlanDependency::Labels(x)
+                    }
+                    (PlanDependency::Fixed, PlanDependency::Fixed) => PlanDependency::Fixed,
+                }
             }
         }
     }
@@ -869,10 +891,12 @@ impl SketchTree {
     /// Whether a compiled query still denotes what compiling it now would
     /// (see [`PlanDependency`]).
     pub fn is_current(&self, compiled: &CompiledQuery) -> bool {
-        match compiled.depends {
+        match &compiled.depends {
             PlanDependency::Fixed => true,
-            PlanDependency::Labels(n) => self.labels.len() as u64 == n,
-            PlanDependency::Structure(v) => self.structure_version() == v,
+            PlanDependency::Labels(missing) => {
+                missing.iter().all(|name| self.labels.lookup(name).is_none())
+            }
+            PlanDependency::Structure(v) => self.structure_version() == *v,
         }
     }
 
@@ -1605,12 +1629,15 @@ mod tests {
         let expr = crate::parse_expr("COUNT_ord(A(B)) * COUNT(A(E))").unwrap();
         let mixed = st.compile_expr(&expr);
         let too_big = st.compile_ordered("A(B(C(D(A))))");
-        let labels = st.labels().len() as u64;
-        assert_eq!(ordered.dependency(), PlanDependency::Fixed);
-        assert_eq!(unseen.dependency(), PlanDependency::Labels(labels));
-        assert_eq!(wildcard.dependency(), PlanDependency::Structure(st.structure_version()));
-        assert_eq!(mixed.dependency(), PlanDependency::Labels(labels));
-        assert_eq!(too_big.dependency(), PlanDependency::Fixed);
+        let both = crate::parse_expr("COUNT(A(F,E)) - COUNT_ord(E(G)) + COUNT_ord(A(B))").unwrap();
+        let both = st.compile_expr(&both);
+        let names = |n: &[&str]| PlanDependency::Labels(n.iter().map(|s| s.to_string()).collect());
+        assert_eq!(ordered.dependency(), &PlanDependency::Fixed);
+        assert_eq!(unseen.dependency(), &names(&["E"]));
+        assert_eq!(wildcard.dependency(), &PlanDependency::Structure(st.structure_version()));
+        assert_eq!(mixed.dependency(), &names(&["E"]));
+        assert_eq!(both.dependency(), &names(&["E", "F", "G"]), "leaves union their names");
+        assert_eq!(too_big.dependency(), &PlanDependency::Fixed);
         assert!(st.evaluate(&too_big).is_err());
 
         // Compiled evaluation is the ad-hoc answer, to the bit.
@@ -1622,8 +1649,14 @@ mod tests {
         same(&st, &wildcard, st.count_unordered("A(*)").unwrap());
         same(&st, &mixed, st.estimate(&expr).unwrap());
 
+        // An unrelated label leaves the missing-name plans current; only
+        // the structure-stamped expansion goes stale.
+        st.labels_mut().intern("unrelated");
+        assert!(st.is_current(&unseen) && st.is_current(&mixed) && st.is_current(&both));
+        assert!(!st.is_current(&wildcard));
         // Interning E stales the plans that named it, and only those.
         let e = st.labels_mut().intern("E");
+        assert!(!st.is_current(&both));
         assert!(st.is_current(&ordered) && st.is_current(&too_big));
         assert!(!st.is_current(&unseen) && !st.is_current(&mixed) && !st.is_current(&wildcard));
         let a = st.labels().lookup("A").unwrap();
@@ -1631,7 +1664,7 @@ mod tests {
             st.ingest(&Tree::node(a, vec![Tree::leaf(e)]));
         }
         let live = st.compile_ordered("A(E)");
-        assert_eq!(live.dependency(), PlanDependency::Fixed);
+        assert_eq!(live.dependency(), &PlanDependency::Fixed);
         assert_eq!(
             st.evaluate(&live).unwrap().to_bits(),
             st.count_ordered("A(E)").unwrap().to_bits()

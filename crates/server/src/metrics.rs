@@ -95,7 +95,9 @@ pub struct ServerMetrics {
     /// `EstimateUpdate` frames queued to subscribers
     /// (`sktp_push_updates_total`).
     pub push_updates: Arc<Counter>,
-    /// Subscriptions evicted because their outbound queue stayed full
+    /// Subscriptions evicted because their connection's outbound queue
+    /// was full or closed at a broadcast; an eviction takes every
+    /// subscription of that connection
     /// (`sktp_slow_subscriber_evictions_total`).
     pub slow_subscriber_evictions: Arc<Counter>,
     /// Seconds per batch re-evaluating every registered standing query
@@ -107,7 +109,8 @@ pub struct ServerMetrics {
     /// registered query's labels have appeared.
     pub standing_compilations: Arc<Counter>,
     /// Seconds per batch fanning evaluated results out to subscriber
-    /// queues (`sketchtree_push_seconds`).
+    /// queues: building each connection's epoch of updates and handing
+    /// it over with one `try_send` (`sketchtree_push_seconds`).
     pub push_seconds: Arc<Histogram>,
     /// Ad-hoc query answers served from the epoch-keyed cache
     /// (`sketchtree_query_cache_hits_total`).
@@ -261,7 +264,7 @@ impl ServerMetrics {
             ),
             slow_subscriber_evictions: registry.counter(
                 "sktp_slow_subscriber_evictions_total",
-                "Subscriptions evicted because their outbound queue stayed full",
+                "Subscriptions evicted because their connection's outbound queue was full",
             ),
             standing_eval_seconds: registry.histogram(
                 "sketchtree_standing_eval_seconds",
@@ -273,7 +276,7 @@ impl ServerMetrics {
             ),
             push_seconds: registry.histogram(
                 "sketchtree_push_seconds",
-                "Seconds per batch fanning evaluated results out to subscriber queues",
+                "Seconds per batch handing each subscriber connection its epoch of updates",
             ),
             cache_hits: registry.counter(
                 "sketchtree_query_cache_hits_total",

@@ -30,9 +30,9 @@
 use crate::durability::{self, WalConfig};
 use crate::http::MetricsHttp;
 use crate::metrics::{ConnectionGuard, ServerMetrics};
-use crate::subs::Subscriptions;
+use crate::subs::{EpochUpdates, Subscriptions};
 use crate::wire::{
-    decode_ingest_trees, frame_bytes, read_frame_patient, Frame, Request, Response, Stats,
+    decode_ingest_trees, read_frame_patient, Frame, Request, Response, Stats,
     SubscribeMode, WireError, DEFAULT_MAX_FRAME, HEADER_LEN, INGEST_TREES_KIND,
 };
 use sketchtree_core::concurrent::SharedSketchTree;
@@ -80,10 +80,12 @@ pub struct ServerConfig {
     /// always collected and always available over the SKTP `Metrics`
     /// opcode — this only controls the scrape listener.
     pub metrics_addr: Option<SocketAddr>,
-    /// Outbound `EstimateUpdate` queue depth per subscribed connection.
-    /// A subscriber whose queue is full when a batch broadcasts is
-    /// evicted rather than waited for, so one stalled dashboard cannot
-    /// wedge ingest (see `docs/wire-protocol.md` on push delivery).
+    /// Outbound push queue depth per subscribed connection, in *epochs*:
+    /// each queued item holds all of one batch's `EstimateUpdate`s for
+    /// that connection.  A connection whose queue is full when a batch
+    /// broadcasts has all its subscriptions evicted rather than waited
+    /// for, so one stalled dashboard cannot wedge ingest (see
+    /// `docs/wire-protocol.md` on push delivery).
     pub push_queue: usize,
     /// Cap on live subscriptions per connection; `Subscribe` past the cap
     /// answers an error frame.
@@ -377,38 +379,44 @@ fn worker_loop(rx: &Mutex<Receiver<TcpStream>>, ctx: &Ctx) {
     }
 }
 
-/// The lazily-started push side of one connection: a bounded queue whose
-/// receiver is drained by a dedicated thread writing `EstimateUpdate`
-/// frames through the connection's shared writer.
+/// The lazily-started push side of one connection: a bounded queue of
+/// epochs whose receiver is drained by a dedicated thread writing
+/// `EstimateUpdate` frames through the connection's shared writer.
 struct Pusher {
-    tx: SyncSender<Response>,
+    tx: SyncSender<EpochUpdates>,
     thread: JoinHandle<()>,
 }
 
 impl Pusher {
     /// Spawns the drain thread.  It exits when every sender is gone —
     /// the connection handler's handle plus the subscription table's
-    /// clones, all dropped during teardown — or when a write fails
+    /// clone, all dropped during teardown — or when a write fails
     /// (peer gone or write timeout), after which broadcasts see a
     /// disconnected queue and evict the subscriptions.
     fn spawn(writer: Arc<Mutex<TcpStream>>, ctx: &Ctx) -> Pusher {
-        let (tx, rx) = sync_channel::<Response>(ctx.push_queue);
+        let (tx, rx) = sync_channel::<EpochUpdates>(ctx.push_queue);
         let metrics = ctx.metrics.clone();
         let thread = std::thread::spawn(move || {
-            while let Ok(update) = rx.recv() {
-                // Assemble the whole frame before taking the writer
-                // mutex; the held-lock section is one write.
-                let payload = update.encode();
-                let Ok(frame) = frame_bytes(update.kind(), &payload) else { return };
+            // One buffer for the connection's lifetime: each epoch is
+            // encoded into it as back-to-back standalone frames, then
+            // written with one call.
+            let mut buf = Vec::new();
+            while let Ok(updates) = rx.recv() {
+                buf.clear();
+                for update in &updates {
+                    if update.encode_frame_into(&mut buf).is_err() {
+                        return;
+                    }
+                }
                 let mut w = writer.lock().unwrap_or_else(|e| e.into_inner());
                 // lint:allow(L7, reason = "the socket write must serialize under the per-connection writer mutex for frame atomicity with the response path; assembly already happened outside it")
-                let wrote = w.write_all(&frame).and_then(|()| w.flush());
+                let wrote = w.write_all(&buf).and_then(|()| w.flush());
                 drop(w);
                 if wrote.is_err() {
                     return;
                 }
-                metrics.frames_out.inc();
-                metrics.bytes_out.add(frame.len() as u64);
+                metrics.frames_out.add(updates.len() as u64);
+                metrics.bytes_out.add(buf.len() as u64);
             }
         });
         Pusher { tx, thread }
@@ -568,8 +576,10 @@ fn handle_subscribe(
 fn write_response(writer: &Mutex<TcpStream>, resp: &Response, ctx: &Ctx) -> bool {
     // Frame assembly stays outside the writer mutex — only the socket
     // write itself needs to serialize against the pusher thread.
-    let payload = resp.encode();
-    let Ok(frame) = frame_bytes(resp.kind(), &payload) else { return false };
+    let mut frame = Vec::new();
+    if resp.encode_frame_into(&mut frame).is_err() {
+        return false;
+    }
     let mut stream = writer.lock().unwrap_or_else(|e| e.into_inner());
     // lint:allow(L7, reason = "the socket write must serialize under the per-connection writer mutex for frame atomicity with the pusher thread; assembly already happened outside it")
     let wrote = stream.write_all(&frame).and_then(|()| stream.flush());

@@ -4,19 +4,28 @@
 //! One [`Subscriptions`] instance lives for the server's lifetime.  Each
 //! `Subscribe` frame registers its query (refcounted — duplicate
 //! subscriptions to one canonical query share a single compiled plan) and
-//! files a subscription entry holding a clone of that connection's
-//! bounded push sender.  The [`SharedSketchTree`] batch hook calls
-//! [`Subscriptions::broadcast`] once per ingest batch or merge, still
-//! under the shared read lock, so every pushed estimate is evaluated at
-//! exactly the epoch it reports.
+//! files a subscription under its connection, whose entry holds a clone
+//! of that connection's bounded push sender.  The [`SharedSketchTree`]
+//! batch hook calls [`Subscriptions::broadcast`] once per ingest batch or
+//! merge, still under the shared read lock, so every pushed estimate is
+//! evaluated at exactly the epoch it reports.
+//!
+//! Fan-out is **per connection, per epoch**: a broadcast gathers every
+//! update a connection's subscriptions get at that epoch, in ascending
+//! subscription id order, into one [`EpochUpdates`] and hands it over
+//! with one `try_send`, so a batch wakes each pusher once and the pusher
+//! writes the epoch to its socket once.
 //!
 //! Delivery is **at-most-once per epoch** and deliberately lossy for slow
-//! readers: updates are queued with a non-blocking `try_send`, and a
-//! subscriber whose queue is full (or whose pusher thread died) is
-//! *evicted* — its entry removed, its registration released — rather than
-//! allowed to wedge the broadcast and, transitively, every ingest.  A
-//! healthy subscriber that merely lags keeps its queue below the bound
-//! because each update frame is small and the pusher drains continuously.
+//! readers: epochs are queued with a non-blocking `try_send`, and a
+//! connection whose queue is full (or whose pusher thread died) is
+//! *evicted* — every one of its subscriptions removed and its
+//! registrations released — rather than allowed to wedge the broadcast
+//! and, transitively, every ingest.  Eviction is all-or-nothing per
+//! connection, so a reader never sees some of its subscriptions go quiet
+//! while others carry on.  A healthy subscriber that merely lags keeps
+//! its queue below the bound because the queue counts whole epochs, one
+//! per batch, and the pusher drains each with a single write.
 //!
 //! Lock order is `SharedSketchTree` inner → registry mutex → table mutex,
 //! always in that direction, and the two inner mutexes are never nested:
@@ -40,31 +49,45 @@ use std::sync::mpsc::SyncSender;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
-/// One live subscription: which connection owns it, which canonical query
-/// it watches, and the bounded sender feeding that connection's pusher.
+/// One connection's share of one broadcast: a
+/// [`Response::EstimateUpdate`] per subscription, in ascending id order.
+pub type EpochUpdates = Vec<Response>;
+
+/// One live subscription: its id, its registry handle, and the canonical
+/// query it watches.
 struct SubEntry {
-    conn: u64,
-    key: String,
+    id: u64,
     reg: u64,
-    tx: SyncSender<Response>,
+    key: String,
+}
+
+/// Everything one connection has subscribed, plus the bounded sender
+/// feeding that connection's pusher.  Never empty: the entry goes when
+/// its last subscription does.
+struct ConnEntry {
+    tx: SyncSender<EpochUpdates>,
+    /// Sorted by id: ids are allocated under the table lock, so appending
+    /// keeps the order.
+    subs: Vec<SubEntry>,
 }
 
 /// The server-wide subscription table plus the standing-query registry it
 /// feeds.  See the module docs for the delivery and eviction contract.
 pub struct Subscriptions {
     registry: QueryRegistry,
-    table: Mutex<HashMap<u64, SubEntry>>,
+    /// Keyed by connection id.
+    table: Mutex<HashMap<u64, ConnEntry>>,
     next_sub: AtomicU64,
     max_per_conn: usize,
     metrics: Arc<ServerMetrics>,
     /// Serializes [`Subscriptions::broadcast`] and records the last epoch
     /// pushed.  Batch hooks run under the *shared* read lock, so two
     /// connections' batches can fire concurrently; without this gate
-    /// their per-subscription enqueues interleave and a subscriber can
-    /// see epochs go backwards (observed by the loadgen harness).  The
-    /// gate is the outermost lock in this module: it is only ever taken
-    /// at the top of `broadcast`, before the registry or table locks, so
-    /// the documented registry → table order is unchanged.
+    /// their enqueues interleave and a subscriber can see epochs go
+    /// backwards (observed by the loadgen harness).  The gate is the
+    /// outermost lock in this module: it is only ever taken at the top of
+    /// `broadcast`, before the registry or table locks, so the documented
+    /// registry → table order is unchanged.
     broadcast_gate: Mutex<u64>,
 }
 
@@ -83,13 +106,15 @@ impl Subscriptions {
     }
 
     /// Registers `spec` for connection `conn`, wiring pushed updates
-    /// through `tx`.  Returns the subscription id the client quotes in
-    /// `Unsubscribe`, or an error when the connection is at its cap.
+    /// through `tx` (the connection's pusher; a connection keeps the
+    /// sender of its first live subscription).  Returns the subscription
+    /// id the client quotes in `Unsubscribe`, or an error when the
+    /// connection is at its cap.
     pub fn subscribe(
         &self,
         conn: u64,
         spec: QuerySpec,
-        tx: SyncSender<Response>,
+        tx: SyncSender<EpochUpdates>,
     ) -> Result<u64, String> {
         let key = spec.key();
         // Register before taking the table lock: the documented order is
@@ -97,7 +122,7 @@ impl Subscriptions {
         // live across a registry call.
         let reg = self.registry.register(spec);
         let mut table = self.lock_table();
-        if table.values().filter(|e| e.conn == conn).count() >= self.max_per_conn {
+        if table.get(&conn).is_some_and(|c| c.subs.len() >= self.max_per_conn) {
             drop(table);
             // Roll back — a cap rejection must not leak a plan refcount.
             self.registry.unregister(reg);
@@ -107,7 +132,8 @@ impl Subscriptions {
             ));
         }
         let id = self.next_sub.fetch_add(1, Ordering::Relaxed) + 1;
-        table.insert(id, SubEntry { conn, key, reg, tx });
+        let entry = table.entry(conn).or_insert_with(|| ConnEntry { tx, subs: Vec::new() });
+        entry.subs.push(SubEntry { id, reg, key });
         drop(table);
         self.metrics.subscriptions_active.inc();
         Ok(id)
@@ -118,15 +144,15 @@ impl Subscriptions {
     /// client cannot cancel someone else's subscription).
     pub fn unsubscribe(&self, conn: u64, id: u64) -> bool {
         let mut table = self.lock_table();
-        if !matches!(table.get(&id), Some(entry) if entry.conn == conn) {
-            return false;
+        let Some(entry) = table.get_mut(&conn) else { return false };
+        let Ok(at) = entry.subs.binary_search_by_key(&id, |s| s.id) else { return false };
+        let sub = entry.subs.remove(at);
+        if entry.subs.is_empty() {
+            table.remove(&conn);
         }
-        let entry = table.remove(&id);
         drop(table);
-        if let Some(entry) = entry {
-            self.registry.unregister(entry.reg);
-            self.metrics.subscriptions_active.dec();
-        }
+        self.registry.unregister(sub.reg);
+        self.metrics.subscriptions_active.dec();
         true
     }
 
@@ -134,30 +160,24 @@ impl Subscriptions {
     /// its handler exits by any path, so a disconnect can never leak a
     /// table entry or a registry refcount.
     pub fn drop_connection(&self, conn: u64) {
-        let mut table = self.lock_table();
-        let ids: Vec<u64> = table
-            .iter()
-            .filter(|(_, e)| e.conn == conn)
-            .map(|(&id, _)| id)
-            .collect();
-        let doomed: Vec<SubEntry> =
-            ids.into_iter().filter_map(|id| table.remove(&id)).collect();
-        drop(table);
-        for entry in doomed {
-            self.registry.unregister(entry.reg);
-            self.metrics.subscriptions_active.dec();
+        let doomed = self.lock_table().remove(&conn);
+        if let Some(entry) = doomed {
+            self.release(&entry.subs);
         }
     }
 
-    /// Re-evaluates every registered query against `st` and queues one
-    /// [`Response::EstimateUpdate`] per live subscription.  Called from
-    /// the batch hook, under the shared read lock.
+    /// Re-evaluates every registered query against `st` and queues, per
+    /// connection, one [`EpochUpdates`] holding a
+    /// [`Response::EstimateUpdate`] for each of its live subscriptions.
+    /// Called from the batch hook, under the shared read lock.
     ///
     /// Evaluation cost is one pass over *distinct* registered queries —
     /// timed by `sketchtree_standing_eval_seconds`, whose sample count
     /// therefore equals the number of broadcast *epochs* regardless of how
-    /// many subscribers read the results.  Fan-out is non-blocking: a
-    /// full or dead queue evicts that subscriber on the spot.
+    /// many subscribers read the results.  Fan-out is one non-blocking
+    /// `try_send` per connection, timed by `sketchtree_push_seconds`: a
+    /// full or dead queue evicts all of that connection's subscriptions
+    /// on the spot.
     ///
     /// Broadcasts are serialized by `broadcast_gate`, which also makes
     /// per-subscription epochs *strictly increasing*: when concurrent
@@ -191,40 +211,46 @@ impl Subscriptions {
         let push_started = Instant::now();
         let mut table = self.lock_table();
         let mut evicted: Vec<u64> = Vec::new();
-        for (&id, entry) in table.iter() {
-            let result = match results.get(&entry.key) {
-                Some(r) => r.clone(),
+        for (&conn, entry) in table.iter() {
+            let updates: EpochUpdates = entry
+                .subs
+                .iter()
                 // A subscription filed after evaluate_all snapshotted the
-                // registry; it catches the next batch.
-                None => continue,
-            };
-            let update = Response::EstimateUpdate { id, epoch, result };
-            match entry.tx.try_send(update) {
-                Ok(()) => self.metrics.push_updates.inc(),
-                Err(_) => evicted.push(id), // full or disconnected
+                // registry has no result yet; it catches the next batch.
+                .filter_map(|s| {
+                    let result = results.get(&s.key)?.clone();
+                    Some(Response::EstimateUpdate { id: s.id, epoch, result })
+                })
+                .collect();
+            if updates.is_empty() {
+                continue;
+            }
+            let frames = updates.len() as u64;
+            match entry.tx.try_send(updates) {
+                Ok(()) => self.metrics.push_updates.add(frames),
+                Err(_) => evicted.push(conn), // full or disconnected
             }
         }
-        let evicted: Vec<SubEntry> =
-            evicted.into_iter().filter_map(|id| table.remove(&id)).collect();
+        let evicted: Vec<ConnEntry> =
+            evicted.into_iter().filter_map(|conn| table.remove(&conn)).collect();
         drop(table);
         for entry in evicted {
-            self.registry.unregister(entry.reg);
-            self.metrics.subscriptions_active.dec();
-            self.metrics.slow_subscriber_evictions.inc();
+            self.release(&entry.subs);
+            self.metrics.slow_subscriber_evictions.add(entry.subs.len() as u64);
         }
         self.metrics.push_seconds.observe_duration(push_started.elapsed());
     }
 
     /// Live subscription count (table entries).
     pub fn active(&self) -> usize {
-        self.lock_table().len()
+        self.lock_table().values().map(|c| c.subs.len()).sum()
     }
 
     /// Whether connection `conn` currently holds any subscription (a
     /// subscribed connection is exempt from the idle-close policy — it
     /// legitimately goes quiet and just reads pushes).
     pub fn connection_active(&self, conn: u64) -> bool {
-        self.lock_table().values().any(|e| e.conn == conn)
+        self.lock_table().contains_key(&conn)
     }
 
     /// Distinct compiled plans resident in the registry.
@@ -232,7 +258,16 @@ impl Subscriptions {
         self.registry.distinct_queries()
     }
 
-    fn lock_table(&self) -> MutexGuard<'_, HashMap<u64, SubEntry>> {
+    /// Releases the registrations of subscriptions already removed from
+    /// the table; the caller must not hold the table guard.
+    fn release(&self, subs: &[SubEntry]) {
+        for sub in subs {
+            self.registry.unregister(sub.reg);
+            self.metrics.subscriptions_active.dec();
+        }
+    }
+
+    fn lock_table(&self) -> MutexGuard<'_, HashMap<u64, ConnEntry>> {
         self.table.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 }
@@ -242,7 +277,7 @@ mod tests {
     use super::*;
     use sketchtree_core::sketchtree::{SketchTreeConfig, SketchTree};
     use sketchtree_standing::QueryMode;
-    use std::sync::mpsc::sync_channel;
+    use std::sync::mpsc::{sync_channel, Receiver};
 
     fn subs() -> Subscriptions {
         Subscriptions::new(ServerMetrics::new(), 8)
@@ -260,45 +295,104 @@ mod tests {
         st
     }
 
-    #[test]
-    fn slow_subscriber_is_evicted_not_waited_for() {
-        // Deterministic stand-in for a wedged reader: a capacity-1 queue
-        // that nothing drains.  The first broadcast fills it; the second
-        // finds it full and must evict instead of blocking the batch.
-        // The epoch must advance between broadcasts (as a real batch
-        // would): the broadcast gate skips same-epoch re-broadcasts.
-        let s = subs();
-        let (tx, _rx) = sync_channel::<Response>(1);
-        let id = s.subscribe(1, spec("A(B)"), tx).unwrap();
-        let mut st = synopsis();
-        s.broadcast(&st);
-        assert_eq!(s.active(), 1, "first update fits the queue");
+    /// Ingests one more `A(B)`, advancing the epoch as a real batch does
+    /// (the broadcast gate skips same-epoch re-broadcasts).
+    fn next_batch(st: &mut SketchTree) {
         let a = st.labels_mut().intern("A");
         let b = st.labels_mut().intern("B");
         st.ingest(&sketchtree_tree::Tree::node(a, vec![sketchtree_tree::Tree::leaf(b)]));
+    }
+
+    /// `(id, epoch)` of every update in one queued epoch.
+    fn ids_and_epochs(updates: &EpochUpdates) -> Vec<(u64, u64)> {
+        updates
+            .iter()
+            .map(|u| match u {
+                Response::EstimateUpdate { id, epoch, .. } => (*id, *epoch),
+                other => panic!("expected an update, got {other:?}"),
+            })
+            .collect()
+    }
+
+    fn drain(rx: &Receiver<EpochUpdates>) -> Vec<EpochUpdates> {
+        rx.try_iter().collect()
+    }
+
+    #[test]
+    fn a_connection_gets_one_queue_item_per_epoch_in_ascending_id_order() {
+        let s = subs();
+        let (tx, rx) = sync_channel::<EpochUpdates>(16);
+        let (other_tx, other_rx) = sync_channel::<EpochUpdates>(16);
+        let texts = ["A(B)", "B(A)", "A(B)", "A(A)", "A(B,B)"];
+        let mut ids = Vec::new();
+        for (i, text) in texts.iter().enumerate() {
+            ids.push(s.subscribe(1, spec(text), tx.clone()).unwrap());
+            // Interleave another connection so conn 1's ids are not dense.
+            s.subscribe(2 + i as u64, spec("A(B)"), other_tx.clone()).unwrap();
+        }
+        let mut st = synopsis();
+        for _ in 0..3 {
+            s.broadcast(&st);
+            let epoch = st.epoch();
+            let queued = drain(&rx);
+            assert_eq!(queued.len(), 1, "one hand-off per connection per epoch");
+            let want: Vec<(u64, u64)> = ids.iter().map(|&id| (id, epoch)).collect();
+            assert_eq!(ids_and_epochs(&queued[0]), want);
+            // Each single-subscription connection gets its own item.
+            assert_eq!(drain(&other_rx).len(), texts.len());
+            next_batch(&mut st);
+        }
+        assert_eq!(s.metrics.push_updates.get(), 3 * 2 * texts.len() as u64);
+    }
+
+    #[test]
+    fn a_full_queue_evicts_the_whole_connection_and_no_other() {
+        // Deterministic stand-in for a wedged reader: a capacity-1 queue
+        // that nothing drains.  The first broadcast fills it; the second
+        // finds it full and must evict instead of blocking the batch.
+        let s = subs();
+        let (tx, _rx) = sync_channel::<EpochUpdates>(1);
+        let (ok_tx, ok_rx) = sync_channel::<EpochUpdates>(16);
+        let slow: Vec<u64> = ["A(B)", "B(A)", "A(A)"]
+            .iter()
+            .map(|q| s.subscribe(1, spec(q), tx.clone()).unwrap())
+            .collect();
+        let keep = s.subscribe(2, spec("A(B)"), ok_tx).unwrap();
+        let mut st = synopsis();
         s.broadcast(&st);
-        assert_eq!(s.active(), 0, "full queue ⇒ evicted");
-        assert_eq!(s.distinct_queries(), 0, "eviction releases the plan");
-        assert_eq!(s.metrics.slow_subscriber_evictions.get(), 1);
-        assert_eq!(s.metrics.subscriptions_active.get(), 0.0);
-        assert!(!s.unsubscribe(1, id), "already gone");
+        assert_eq!(s.active(), 4, "the first epoch fits the queue");
+        next_batch(&mut st);
+        s.broadcast(&st);
+        assert_eq!(s.active(), 1, "full queue ⇒ every subscription of conn 1 evicted");
+        assert!(!s.connection_active(1));
+        assert!(s.connection_active(2));
+        assert_eq!(s.metrics.slow_subscriber_evictions.get(), slow.len() as u64);
+        assert_eq!(s.metrics.subscriptions_active.get(), 1.0);
+        assert_eq!(s.distinct_queries(), 1, "eviction releases the plans only conn 1 held");
+        for id in slow {
+            assert!(!s.unsubscribe(1, id), "already gone");
+        }
+        assert_eq!(drain(&ok_rx).len(), 2, "the healthy connection missed nothing");
+        assert!(s.unsubscribe(2, keep));
     }
 
     #[test]
     fn dead_receiver_is_evicted_on_next_broadcast() {
         let s = subs();
-        let (tx, rx) = sync_channel::<Response>(16);
-        s.subscribe(1, spec("A(B)"), tx).unwrap();
+        let (tx, rx) = sync_channel::<EpochUpdates>(16);
+        s.subscribe(1, spec("A(B)"), tx.clone()).unwrap();
+        s.subscribe(1, spec("B(A)"), tx).unwrap();
         drop(rx); // pusher died / connection torn down out from under us
         s.broadcast(&synopsis());
         assert_eq!(s.active(), 0);
-        assert_eq!(s.metrics.slow_subscriber_evictions.get(), 1);
+        assert_eq!(s.metrics.slow_subscriber_evictions.get(), 2);
+        assert_eq!(s.distinct_queries(), 0);
     }
 
     #[test]
     fn duplicate_subscriptions_share_one_plan_and_refcount_it() {
         let s = subs();
-        let (tx, rx) = sync_channel::<Response>(16);
+        let (tx, rx) = sync_channel::<EpochUpdates>(16);
         let id1 = s.subscribe(1, spec("A(B)"), tx.clone()).unwrap();
         let id2 = s.subscribe(2, spec("A(B)"), tx).unwrap();
         assert_ne!(id1, id2);
@@ -307,13 +401,13 @@ mod tests {
 
         let st = synopsis();
         s.broadcast(&st);
-        let (a, b) = (rx.recv().unwrap(), rx.recv().unwrap());
+        let updates: Vec<Response> = drain(&rx).into_iter().flatten().collect();
         // Both subscriptions get the shared evaluation, to the bit.
-        match (a, b) {
-            (
+        match updates.as_slice() {
+            [
                 Response::EstimateUpdate { epoch: e1, result: Ok(v1), .. },
                 Response::EstimateUpdate { epoch: e2, result: Ok(v2), .. },
-            ) => {
+            ] => {
                 assert_eq!(e1, e2);
                 assert_eq!(v1.to_bits(), v2.to_bits());
             }
@@ -329,16 +423,18 @@ mod tests {
     #[test]
     fn unsubscribe_requires_the_owning_connection() {
         let s = subs();
-        let (tx, _rx) = sync_channel::<Response>(16);
+        let (tx, _rx) = sync_channel::<EpochUpdates>(16);
         let id = s.subscribe(7, spec("A(B)"), tx).unwrap();
         assert!(!s.unsubscribe(8, id), "someone else's subscription");
+        assert!(s.connection_active(7));
         assert!(s.unsubscribe(7, id));
+        assert!(!s.connection_active(7), "the last unsubscribe clears the connection");
     }
 
     #[test]
     fn drop_connection_reaps_only_that_connection() {
         let s = subs();
-        let (tx, _rx) = sync_channel::<Response>(16);
+        let (tx, _rx) = sync_channel::<EpochUpdates>(16);
         s.subscribe(1, spec("A(B)"), tx.clone()).unwrap();
         s.subscribe(1, spec("A(A)"), tx.clone()).unwrap();
         let keep = s.subscribe(2, spec("A(B)"), tx).unwrap();
@@ -354,7 +450,7 @@ mod tests {
         // subscribed patterns name only labels already seen, so after the
         // first evaluation nothing recompiles.
         let s = subs();
-        let (tx, rx) = sync_channel::<Response>(64);
+        let (tx, rx) = sync_channel::<EpochUpdates>(64);
         s.subscribe(1, spec("A(B)"), tx.clone()).unwrap();
         s.subscribe(1, QuerySpec::parse(QueryMode::Unordered, "A(B,B)").unwrap(), tx).unwrap();
         let mut st = synopsis();
@@ -368,7 +464,9 @@ mod tests {
             s.broadcast(&st);
         }
         assert_eq!(s.metrics.standing_compilations.get(), after_first);
-        assert_eq!(rx.try_iter().count(), 22, "every broadcast still pushed both updates");
+        let queued = drain(&rx);
+        assert_eq!(queued.len(), 11, "one queue item per broadcast");
+        assert!(queued.iter().all(|u| u.len() == 2), "every broadcast still pushed both updates");
         let text = s.metrics.render(false);
         assert!(text.contains("sketchtree_standing_compilations_total 2\n"), "{text}");
     }
@@ -376,7 +474,7 @@ mod tests {
     #[test]
     fn per_connection_cap_is_enforced() {
         let s = Subscriptions::new(ServerMetrics::new(), 2);
-        let (tx, _rx) = sync_channel::<Response>(16);
+        let (tx, _rx) = sync_channel::<EpochUpdates>(16);
         s.subscribe(1, spec("A(B)"), tx.clone()).unwrap();
         s.subscribe(1, spec("A(A)"), tx.clone()).unwrap();
         let err = s.subscribe(1, spec("B(A)"), tx.clone()).unwrap_err();

@@ -218,13 +218,12 @@ pub fn write_frame(w: &mut impl Write, kind: u8, payload: &[u8]) -> io::Result<(
 }
 
 /// Assembles one frame — header plus payload — as a single contiguous
-/// buffer, without touching any writer.
-///
-/// The server's write paths use this to do all frame assembly *outside*
-/// the per-connection shared-writer mutex: the socket write itself must
-/// serialize under that mutex (frame atomicity between the response
-/// path and the pusher thread), but nothing else needs to, and a single
-/// pre-built buffer keeps the held-lock section to one `write_all`.
+/// buffer, without touching any writer, so [`write_frame`] sends it with
+/// one `write_all`.  The server builds its frames in place instead, with
+/// [`Response::encode_frame_into`], and does so *outside* the
+/// per-connection shared-writer mutex: only the socket write must
+/// serialize under it (frame atomicity between the response path and
+/// the pusher thread).
 pub fn frame_bytes(kind: u8, payload: &[u8]) -> io::Result<Vec<u8>> {
     let len = u32::try_from(payload.len()).map_err(|_| {
         io::Error::new(io::ErrorKind::InvalidInput, "frame payload exceeds u32::MAX bytes")
@@ -691,6 +690,39 @@ impl Response {
     /// Encodes the payload (header excluded).
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer(Vec::new());
+        self.write_payload(&mut w);
+        w.0
+    }
+
+    /// Appends this response to `buf` as one complete frame, byte-identical
+    /// to `frame_bytes(self.kind(), &self.encode())` but without the two
+    /// intermediate buffers.  The pusher encodes a whole epoch of updates
+    /// into one reused buffer this way and writes it with one call.
+    ///
+    /// Fails with `InvalidInput`, leaving `buf` as it was, when the payload
+    /// cannot be represented in the u32 length prefix.
+    pub fn encode_frame_into(&self, buf: &mut Vec<u8>) -> io::Result<()> {
+        let start = buf.len();
+        buf.extend_from_slice(MAGIC);
+        buf.extend_from_slice(&VERSION.to_le_bytes());
+        buf.push(self.kind());
+        buf.extend_from_slice(&[0; 4]);
+        let mut w = Writer(std::mem::take(buf));
+        self.write_payload(&mut w);
+        *buf = w.0;
+        let Ok(len) = u32::try_from(buf.len() - start - HEADER_LEN) else {
+            buf.truncate(start);
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "frame payload exceeds u32::MAX bytes",
+            ));
+        };
+        // lint:allow(L1, reason = "the header pushed above spans start..start + HEADER_LEN, so the length field is in bounds")
+        buf[start + HEADER_LEN - 4..start + HEADER_LEN].copy_from_slice(&len.to_le_bytes());
+        Ok(())
+    }
+
+    fn write_payload(&self, w: &mut Writer) {
         match self {
             Response::Pong | Response::ShuttingDown => {}
             Response::Ingested { trees, patterns, total_trees, total_patterns } => {
@@ -745,7 +777,6 @@ impl Response {
             }
             Response::Error(msg) => w.str(msg),
         }
-        w.0
     }
 
     /// Decodes a payload for `kind`; rejects unknown kinds and trailing
@@ -1131,7 +1162,41 @@ mod tests {
                 panic!("expected a frame")
             };
             assert_eq!(Response::decode(kind, &payload).unwrap(), resp);
+            // The in-place frame encoder appends exactly the same bytes
+            // and leaves what the buffer already held untouched.
+            let mut appended = vec![0xAA];
+            resp.encode_frame_into(&mut appended).unwrap();
+            assert_eq!(appended[0], 0xAA);
+            assert_eq!(appended[1..], frame_bytes(resp.kind(), &resp.encode()).unwrap()[..]);
         }
+    }
+
+    #[test]
+    fn an_encoded_epoch_is_the_concatenation_of_standalone_update_frames() {
+        // The pusher encodes one connection's epoch into one buffer; each
+        // update must stay its own 0x8C frame, byte for byte what a
+        // per-update `frame_bytes` write would have sent.
+        let updates = [
+            Response::EstimateUpdate { id: 3, epoch: 41, result: Ok(17.25) },
+            Response::EstimateUpdate { id: 5, epoch: 41, result: Ok(-0.0) },
+            Response::EstimateUpdate { id: 9, epoch: 41, result: Err("expands too far".into()) },
+        ];
+        let mut buf = Vec::new();
+        let mut want = Vec::new();
+        for u in &updates {
+            u.encode_frame_into(&mut buf).unwrap();
+            want.extend(frame_bytes(K_ESTIMATE_UPDATE, &u.encode()).unwrap());
+        }
+        assert_eq!(buf, want);
+        let mut r = Cursor::new(&buf);
+        for u in &updates {
+            let Frame::Msg { kind, payload } = read_frame(&mut r, DEFAULT_MAX_FRAME).unwrap() else {
+                panic!("expected a frame")
+            };
+            assert_eq!(kind, 0x8C);
+            assert_eq!(&Response::decode(kind, &payload).unwrap(), u);
+        }
+        assert!(matches!(read_frame(&mut r, DEFAULT_MAX_FRAME), Ok(Frame::Eof)));
     }
 
     #[test]

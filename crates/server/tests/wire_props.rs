@@ -115,6 +115,10 @@ proptest! {
             unreachable!()
         };
         prop_assert_eq!(Response::decode(kind, &payload).expect("valid payload"), resp);
+        // The server's in-place encoder emits the same bytes.
+        let mut in_place = Vec::new();
+        resp.encode_frame_into(&mut in_place).expect("encodable");
+        prop_assert_eq!(in_place, bytes);
     }
 
     /// Any prefix of a valid frame is Truncated (or Eof for the empty

@@ -80,10 +80,11 @@ impl SketchView<'_> {
         self.x
     }
 
-    /// Unbiased second-moment estimate `X²` of `Σ f_i²`.
+    /// Unbiased second-moment estimate `X²` of `Σ f_i²`, squared in i128
+    /// so that no counter overflows it.
     #[inline]
-    pub fn second_moment(&self) -> i64 {
-        self.x * self.x
+    pub fn second_moment(&self) -> i128 {
+        i128::from(self.x) * i128::from(self.x)
     }
 }
 

@@ -295,13 +295,20 @@ impl StreamSynopsis {
                     *a = terms
                         .iter()
                         .map(|t| {
-                            let x: i64 = t
-                                .banks
-                                .iter()
-                                .map(|&b| restored.get(b * n + idx).copied().unwrap_or(0))
-                                .sum();
+                            let x_eff = |b: &usize| restored.get(b * n + idx).copied().unwrap_or(0);
+                            // A term spanning several banks can sum past
+                            // i64 even when no counter does; only then is
+                            // the sum taken again in i128 (its conversion
+                            // to f64 is a library call, so the common path
+                            // stays in i64).  Either way the f64 is the
+                            // exact sum's rounding.
+                            let narrow = t.banks.iter().try_fold(0i64, |s, b| s.checked_add(x_eff(b)));
+                            let x = match narrow {
+                                Some(x) => x as f64,
+                                None => t.banks.iter().map(|b| i128::from(x_eff(b))).sum::<i128>() as f64,
+                            };
                             let xi = t.xi_prod.get(idx).copied().unwrap_or(0);
-                            t.coeff * (x as f64).powi(t.exp) / t.factorial * f64::from(xi)
+                            t.coeff * x.powi(t.exp) / t.factorial * f64::from(xi)
                         })
                         .sum();
                 }
@@ -546,5 +553,72 @@ mod tests {
             }
             assert_all_paths(&syn, &atoms, &terms);
         }
+
+        /// Terms spanning several banks whose counters are large but
+        /// whose i64 sums still fit: the i128 sum must give the oracle's
+        /// i64 result bit for bit.
+        #[test]
+        fn wide_term_sums_match_the_oracle_wherever_i64_fits(
+            p in 2usize..6,
+            scale in 0u32..62,
+            counters in prop::collection::vec(any::<i64>(), 5),
+            atoms in prop::collection::btree_set(0u64..24, 2..6),
+        ) {
+            let atoms: Vec<u64> = atoms.into_iter().collect();
+            let syn = loaded(p, |b, i| counters[(b + i) % counters.len()] >> scale);
+            let terms: Vec<Term> = atoms
+                .windows(2)
+                .map(|w| Term { coeff: 1, queries: w.to_vec() })
+                .chain(atoms.first().map(|&a| Term { coeff: -1, queries: vec![a] }))
+                .collect();
+            let plan = syn.compile_terms(&terms).unwrap();
+            let n = syn.families();
+            let fits = terms.iter().all(|t| {
+                let mut banks: Vec<usize> = t.queries.iter().map(|&q| syn.route(q)).collect();
+                banks.sort_unstable();
+                banks.dedup();
+                (0..n).all(|idx| {
+                    banks.iter().try_fold(0i64, |acc, &b| {
+                        acc.checked_add(syn.partition(b).unwrap().0.sketch_at(idx).raw())
+                    }).is_some()
+                })
+            });
+            prop_assume!(fits);
+            prop_assert_eq!(syn.evaluate(&plan).to_bits(), oracle::terms(&syn, &terms).to_bits());
+        }
+    }
+
+    /// Top-k off, every counter of bank `b` at position `i` set to
+    /// `counter(b, i)`.
+    fn loaded(p: usize, counter: impl Fn(usize, usize) -> i64) -> StreamSynopsis {
+        let syn = StreamSynopsis::new(config(p, 0));
+        let mut state = syn.export_state();
+        for (b, counters) in state.bank_counters.iter_mut().enumerate() {
+            for (i, c) in counters.iter_mut().enumerate() {
+                *c = counter(b, i);
+            }
+        }
+        StreamSynopsis::from_state(config(p, 0), state)
+    }
+
+    #[test]
+    fn a_product_of_two_streams_at_two_to_the_62_stays_positive() {
+        // Values 0 and 1 route to different banks, each as if 2⁶² copies
+        // had been inserted: the counter is f·ξ.  Their term sums the two
+        // banks' counters, reaching ±2⁶³ — one past i64::MAX — wherever
+        // the two signs agree.
+        let f = 1i64 << 62;
+        let probe = StreamSynopsis::new(config(2, 0));
+        assert_ne!(probe.route(0), probe.route(1));
+        let sign = |b: usize, i: usize| probe.partition(b).unwrap().0.sketch_at(i).sign(b as u64);
+        let syn = loaded(2, |b, i| f * sign(b, i));
+        let plan = syn.compile_terms(&[Term { coeff: 1, queries: vec![0, 1] }]).unwrap();
+        let est = syn.evaluate(&plan);
+        // The estimator is 2f² on sketches whose signs agree and 0 on the
+        // rest, so E = f² = 2¹²⁴; the boosted estimate must be positive
+        // and of that order.
+        let want = (f as f64).powi(2);
+        assert!(est > 0.0, "product of two positive counts estimated as {est}");
+        assert!(est <= 2.0 * want + 1.0, "{est} vs {want}");
     }
 }

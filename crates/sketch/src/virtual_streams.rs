@@ -633,6 +633,27 @@ mod tests {
     }
 
     #[test]
+    fn self_join_estimates_square_counters_beyond_i64() {
+        // Any counter past ±3.04e9 squares past i64::MAX; the estimates
+        // and the residual self-join gauge must still read +x².
+        for x in [4_000_000_000i64, -4_000_000_000, i64::MAX, i64::MIN] {
+            let cfg = SynopsisConfig { s1: 2, s2: 3, virtual_streams: 2, ..small_config(0) };
+            let mut state = StreamSynopsis::new(cfg.clone()).export_state();
+            for counters in &mut state.bank_counters {
+                counters.fill(x);
+            }
+            let syn = StreamSynopsis::from_state(cfg, state);
+            let square = (i128::from(x) * i128::from(x)) as f64;
+            for b in 0..2 {
+                let bank = syn.partition(b).unwrap().0;
+                assert_eq!(bank.estimate_self_join(), square, "bank {b} at {x}");
+            }
+            assert_eq!(syn.estimate_residual_self_join(), 2.0 * square, "residual at {x}");
+            assert_eq!(syn.residual_self_join_group_means(), vec![2.0 * square; 3]);
+        }
+    }
+
+    #[test]
     fn point_estimates_with_topk() {
         let mut syn = StreamSynopsis::new(small_config(5));
         let freqs = skewed_stream();

@@ -20,8 +20,9 @@
 //!    nothing else (its atoms are a function of label names and the
 //!    configuration), so it compiles once for the registration's
 //!    lifetime.  A pattern naming a label the stream has not produced yet
-//!    recompiles when the label table grows — that is how it flips from
-//!    constant zero to live — and a `*` / `//` pattern recompiles when
+//!    recompiles when one of those missing names is interned — that is
+//!    how it flips from constant zero to live; other labels arriving
+//!    leave it compiled — and a `*` / `//` pattern recompiles when
 //!    [`SketchTree::structure_version`] moves.  On a value-labelled
 //!    stream the label table grows nearly every batch, so the structure
 //!    version never settles; only the plans that expand through it pay
@@ -431,8 +432,18 @@ mod tests {
         reg.evaluate_all(&st);
         assert_eq!(reg.compilations(), 1, "no new label, no recompile");
 
-        // The label appears: the plan recompiles and goes live.
+        // Unrelated labels arrive, as value labels do every batch: the
+        // plan still names only E, so it stays compiled and stays zero.
         let a = st.labels().lookup("A").unwrap();
+        for i in 0..5 {
+            let v = st.labels_mut().intern(&format!("value-{i}"));
+            st.ingest(&sketchtree_tree::Tree::node(a, vec![sketchtree_tree::Tree::leaf(v)]));
+            let zero: HashMap<_, _> = reg.evaluate_all(&st).into_iter().collect();
+            assert_eq!(zero["ord:A(E)"], Ok(0.0));
+        }
+        assert_eq!(reg.compilations(), 1, "unrelated labels never recompile");
+
+        // The label appears: the plan recompiles and goes live.
         let e = st.labels_mut().intern("E");
         let t = sketchtree_tree::Tree::node(a, vec![sketchtree_tree::Tree::leaf(e)]);
         for _ in 0..5 {

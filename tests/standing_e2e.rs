@@ -276,3 +276,86 @@ fn subscription_lifecycle_over_the_wire() {
 
     server.shutdown().expect("clean shutdown");
 }
+
+/// The coalesced push path seen from the socket: a subscribed connection
+/// read with a raw frame reader while `Count` requests share it.  A
+/// connection's epoch of updates leaves the server in one write, so this
+/// checks that the write still parses as standalone `0x8C` frames, each
+/// decoding with no trailing bytes, that no push tears a reply frame,
+/// that every subscription's epochs strictly increase, and that each
+/// pushed value is bit-identical to the ad-hoc answer at its epoch.
+#[test]
+fn raw_pushed_frames_stay_standalone_while_requests_interleave() {
+    use sketchtree::server::wire::{read_frame, Frame, Request, Response, DEFAULT_MAX_FRAME};
+    use std::net::TcpStream;
+
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig { sketch: config(17), ..ServerConfig::default() },
+    )
+    .expect("server starts");
+    let mut feeder = Client::connect(server.addr()).expect("feeder connects");
+    let mut raw = TcpStream::connect(server.addr()).expect("raw subscriber connects");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+    let next = |raw: &mut TcpStream| -> Response {
+        match read_frame(raw, DEFAULT_MAX_FRAME).expect("well-formed frame") {
+            Frame::Msg { kind, payload } => {
+                Response::decode(kind, &payload).expect("payload decodes with no trailing bytes")
+            }
+            other => panic!("expected a frame, got {other:?}"),
+        }
+    };
+
+    let patterns = ["article(author)", "book(title)", "article(title)", "misc(k3)"];
+    let mut ids = Vec::new();
+    for p in patterns {
+        Request::Subscribe { mode: SubscribeMode::Ordered, query: p.to_string() }
+            .write_to(&mut raw)
+            .expect("subscribe sent");
+        match next(&mut raw) {
+            Response::Subscribed { id, .. } => ids.push(id),
+            other => panic!("expected Subscribed, got {other:?}"),
+        }
+    }
+
+    let docs = corpus();
+    let mut last_epoch: HashMap<u64, u64> = HashMap::new();
+    for batch in docs.chunks(20) {
+        feeder.ingest_xml(batch).expect("batch ingests");
+        let epoch = server.shared().epoch();
+        // The pusher is still writing this batch's epoch while the
+        // requests go out, so replies and pushes share the socket.
+        for p in patterns {
+            Request::Count { unordered: false, pattern: p.to_string() }
+                .write_to(&mut raw)
+                .expect("count sent");
+        }
+        let mut answers = Vec::new();
+        let mut pushed: HashMap<u64, f64> = HashMap::new();
+        while answers.len() < patterns.len() || pushed.len() < ids.len() {
+            match next(&mut raw) {
+                Response::Estimate(v) => answers.push(v),
+                Response::EstimateUpdate { id, epoch: e, result } => {
+                    let prev = last_epoch.insert(id, e).unwrap_or(0);
+                    assert!(e > prev, "sub {id}: epoch {e} after {prev}");
+                    assert!(e <= epoch, "sub {id}: epoch {e} from the future");
+                    if e == epoch {
+                        pushed.insert(id, result.expect("pushed estimate ok"));
+                    }
+                }
+                other => panic!("unexpected frame {other:?}"),
+            }
+        }
+        for ((p, id), want) in patterns.iter().zip(&ids).zip(&answers) {
+            assert_eq!(
+                pushed[id].to_bits(),
+                want.to_bits(),
+                "{p}: pushed {} != ad-hoc {want} at epoch {epoch}",
+                pushed[id]
+            );
+        }
+    }
+    assert_eq!(server.metrics().slow_subscriber_evictions.get(), 0);
+    drop(raw);
+    server.shutdown().expect("clean shutdown");
+}
