@@ -77,6 +77,18 @@ pub fn fmt_pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
+/// Formats per-seed fractions as a percentage `mean±sd`, the sample
+/// standard deviation across seeds; a single sample prints its value.
+pub fn fmt_pct_spread(samples: &[f64]) -> String {
+    let n = samples.len() as f64;
+    let mean = samples.iter().sum::<f64>() / n;
+    if samples.len() < 2 {
+        return fmt_pct(mean);
+    }
+    let var = samples.iter().map(|x| (x - mean) * (x - mean)).sum::<f64>() / (n - 1.0);
+    format!("{:.1}±{:.1}%", mean * 100.0, var.sqrt() * 100.0)
+}
+
 /// Formats a selectivity range with enough precision to keep adjacent
 /// quantile buckets distinguishable.
 pub fn fmt_range(lo: f64, hi: f64) -> String {

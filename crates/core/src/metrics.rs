@@ -139,12 +139,22 @@ pub struct SketchHealth {
     /// Inserts routed to each virtual-stream partition since startup
     /// (monitoring counts — reset on restore).
     pub partition_inserts: Vec<u64>,
-    /// Sign-cache lookups since startup — one per value inserted
-    /// (monitoring count — resets on restore).
+    /// Sign-cache lookups since startup — one per value inserted, except
+    /// Filter-mode hits, which skip the sketches (monitoring count —
+    /// resets on restore).
     pub sign_cache_lookups: u64,
     /// Sign-cache misses since startup: each one ran the ξ row kernel over
     /// all `s1·s2` families (monitoring count — resets on restore).
     pub sign_cache_misses: u64,
+    /// Filter-mode hits since startup: occurrences of tracked values
+    /// counted in the top-k heap without touching the sketches
+    /// (monitoring count — resets on restore).
+    pub topk_filter_hits: u64,
+    /// Filter-mode re-estimates since startup: occurrences of tracked
+    /// values sent through Algorithm 4 because their tracked frequency
+    /// reached a multiple of the re-estimate period (monitoring count —
+    /// resets on restore).
+    pub topk_reestimates: u64,
     /// Pattern values processed by the synopsis since its state began.
     pub values_processed: u64,
     /// Estimated residual self-join size `SJ(S)` of the sketched stream —

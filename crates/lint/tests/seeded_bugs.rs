@@ -71,6 +71,46 @@ fn l3_fires_on_compound_and_bare_update_arithmetic() {
     assert_eq!(rules.iter().filter(|r| **r == "L3").count(), 2, "{report:?}");
 }
 
+/// An estimator that squares a counter in i64, the overflow class of the
+/// old `second_moment`, fails the gate.
+#[test]
+fn l3_fires_on_an_unchecked_counter_square_in_an_estimator() {
+    let report = analyze(
+        "crates/sketch/src/seeded.rs",
+        "impl S { fn second_moment(&self) -> i64 { self.x * self.x } \
+         fn estimate_residual(&self) -> i64 { self.a * self.a + self.b } }",
+    );
+    let rules = undocumented_rules(&report);
+    assert_eq!(rules.iter().filter(|r| **r == "L3").count(), 3, "{report:?}");
+}
+
+/// A plan evaluation that adds restored frequencies onto counters
+/// without an overflow policy fails the gate.
+#[test]
+fn l3_fires_on_an_unchecked_restore_in_evaluate() {
+    let report = analyze(
+        "crates/sketch/src/seeded.rs",
+        "impl P { fn evaluate(&self, x: i64, f: i64) -> f64 { (x + f) as f64 } }",
+    );
+    assert_eq!(undocumented_rules(&report), vec!["L3"], "{report:?}");
+}
+
+/// The Filter mode's in-place count of a tracked frequency must saturate:
+/// a bare `+ 1` there is a finding, `saturating_add` is not.
+#[test]
+fn l3_fires_on_an_unchecked_tracked_frequency_increment() {
+    let report = analyze(
+        "crates/sketch/src/seeded.rs",
+        "impl H { fn increment(&mut self, i: usize) { let p = self.heap[i].1 + 1; self.set(i, p); } }",
+    );
+    assert!(undocumented_rules(&report).contains(&"L3"), "{report:?}");
+    let report = analyze(
+        "crates/sketch/src/seeded.rs",
+        "impl H { fn increment(&mut self, f: i64) -> i64 { f.saturating_add(1) } }",
+    );
+    assert!(!undocumented_rules(&report).contains(&"L3"), "{report:?}");
+}
+
 #[test]
 fn l5_fires_on_opcode_missing_from_decode() {
     let report = analyze(

@@ -134,6 +134,8 @@ pub struct ServerMetrics {
     health_partition_imbalance: Arc<Gauge>,
     health_sign_cache_lookups: Arc<Gauge>,
     health_sign_cache_misses: Arc<Gauge>,
+    health_topk_filter_hits: Arc<Gauge>,
+    health_topk_reestimates: Arc<Gauge>,
     health_values_processed: Arc<Gauge>,
     health_residual_self_join: Arc<Gauge>,
     health_estimator_spread: Arc<Gauge>,
@@ -322,11 +324,19 @@ impl ServerMetrics {
             ),
             health_sign_cache_lookups: health_gauge(
                 "sketchtree_sign_cache_lookups",
-                "Sign-cache lookups since startup, one per inserted value (resets on restore)",
+                "Sign-cache lookups since startup, one per inserted value that reaches the sketches (resets on restore)",
             ),
             health_sign_cache_misses: health_gauge(
                 "sketchtree_sign_cache_misses",
                 "Sign-cache misses since startup, each one xi row-kernel run (resets on restore)",
+            ),
+            health_topk_filter_hits: health_gauge(
+                "sketchtree_topk_filter_hits",
+                "Tracked-value occurrences counted in the top-k heap without touching the sketches (Filter mode; resets on restore)",
+            ),
+            health_topk_reestimates: health_gauge(
+                "sketchtree_topk_reestimates",
+                "Tracked-value occurrences re-estimated through Algorithm 4 every 16th time (Filter mode; resets on restore)",
             ),
             health_values_processed: health_gauge(
                 "sketchtree_values_processed",
@@ -387,6 +397,8 @@ impl ServerMetrics {
         self.health_partition_imbalance.set(partition_imbalance(&h.partition_inserts));
         self.health_sign_cache_lookups.set(h.sign_cache_lookups as f64);
         self.health_sign_cache_misses.set(h.sign_cache_misses as f64);
+        self.health_topk_filter_hits.set(h.topk_filter_hits as f64);
+        self.health_topk_reestimates.set(h.topk_reestimates as f64);
         self.health_values_processed.set(h.values_processed as f64);
         self.health_residual_self_join.set(h.residual_self_join);
         self.health_estimator_spread.set(h.estimator_spread);
@@ -492,13 +504,18 @@ mod tests {
         let text = m.render(false);
         assert!(text.contains("sketchtree_trees_processed 10"));
         assert!(!text.contains("sketchtree_values_processed 0\n"));
-        // Ten copies of one tree: one lookup per value, and only the first
-        // copy's distinct values miss.
+        // Ten copies of one tree under the default Filter mode: each
+        // distinct value is tracked on its first copy, and its nine
+        // repeats are filter hits that skip the sign cache, so the
+        // lookups are the first copy's values and all of them miss.
         let h = shared.read(|s| s.sketch_health());
-        assert_eq!(h.sign_cache_lookups, h.values_processed);
-        assert!(h.sign_cache_misses > 0 && h.sign_cache_misses * 10 <= h.sign_cache_lookups);
+        assert_eq!(h.sign_cache_lookups + h.topk_filter_hits, h.values_processed);
+        assert_eq!(h.topk_filter_hits * 10, h.values_processed * 9);
+        assert_eq!((h.sign_cache_misses, h.topk_reestimates), (h.sign_cache_lookups, 0));
         assert!(text.contains(&format!("sketchtree_sign_cache_lookups {}\n", h.sign_cache_lookups)));
         assert!(text.contains(&format!("sketchtree_sign_cache_misses {}\n", h.sign_cache_misses)));
+        assert!(text.contains(&format!("sketchtree_topk_filter_hits {}\n", h.topk_filter_hits)));
+        assert!(text.contains("sketchtree_topk_reestimates 0\n"));
         // JSON render is parseable-ish: starts and ends with braces.
         let json = m.render(true);
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));

@@ -86,6 +86,7 @@ impl AmsSketch {
     /// so that no counter overflows it.
     #[inline]
     pub fn second_moment(&self) -> i128 {
+        // lint:allow(L3, reason = "two i64 factors: |x|^2 <= 2^126 < i128::MAX, so the square cannot overflow")
         i128::from(self.x) * i128::from(self.x)
     }
 

@@ -84,6 +84,7 @@ impl SketchView<'_> {
     /// so that no counter overflows it.
     #[inline]
     pub fn second_moment(&self) -> i128 {
+        // lint:allow(L3, reason = "two i64 factors: |x|^2 <= 2^126 < i128::MAX, so the square cannot overflow")
         i128::from(self.x) * i128::from(self.x)
     }
 }
@@ -197,6 +198,7 @@ impl SketchBank {
         self.median_of_means(|s| {
             let x_eff = effective_x(s, restore);
             let xi_sum: i64 = values.iter().map(|&v| s.sign(v)).sum();
+            // lint:allow(L3, reason = "f64 product cannot wrap; it saturates to infinity")
             xi_sum as f64 * x_eff as f64
         })
     }
@@ -386,6 +388,7 @@ impl SketchBank {
         // group chunks() would — minus the per-chunk bounds bookkeeping.
         ys.extend(self.counters.chunks_exact(self.s1).zip(signs.chunks_exact(self.s1)).map(
             |(cs, sg)| {
+                // lint:allow(L3, reason = "f64 sum cannot wrap; adding 0.0 turns a -0.0 group sum into +0.0")
                 (cs.iter().zip(sg).map(|(&c, &g)| signed(g, c)).sum::<f64>() + 0.0)
                     / self.s1 as f64
             },

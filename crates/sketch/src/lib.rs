@@ -51,5 +51,5 @@ pub use bank::{SketchBank, SketchView};
 pub use expr::{Expr, ExprError};
 pub use plan::QueryPlan;
 pub use topk::TopKTracker;
-pub use virtual_streams::{StreamSynopsis, SynopsisConfig, SynopsisState};
+pub use virtual_streams::{StreamSynopsis, SynopsisConfig, SynopsisState, TopKMode};
 pub use xislab::{XiSlab, INDEPENDENCE_RANGE};

@@ -55,7 +55,7 @@ pub use sketchtree_core::exprparse::parse_expr;
 pub use sketchtree_core::sketchtree::{CountExpr, SketchTree, SketchTreeConfig, SketchTreeError};
 pub use sketchtree_core::snapshot::{read_snapshot, write_snapshot};
 pub use sketchtree_core::window::WindowedSketchTree;
-pub use sketchtree_sketch::SynopsisConfig;
+pub use sketchtree_sketch::{SynopsisConfig, TopKMode};
 pub use sketchtree_tree::{LabelTable, Tree};
 pub use sketchtree_xml::builder::BuildXmlError;
 
