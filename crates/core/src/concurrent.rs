@@ -29,20 +29,10 @@ const LOCK_WINDOW_TREES: usize = 64;
 /// enumeration scratch and the current window's pattern values.
 type BatchBuffers = (EnumScratch, Vec<u64>);
 
-/// A callback invoked (under the shared read lock) after every batch
-/// ingest and merge completes — the hook point standing-query evaluators
-/// attach to.  The callback receives the post-batch synopsis; it must not
-/// re-lock the same [`SharedSketchTree`] (it already holds the read side).
-pub type BatchHook = dyn Fn(&SketchTree) + Send + Sync;
-
 /// A cloneable, thread-safe [`SketchTree`] handle.
 #[derive(Clone)]
 pub struct SharedSketchTree {
     inner: Arc<RwLock<SketchTree>>,
-    /// Post-batch hooks, shared across clones.  Read-mostly: cloned out
-    /// under a short lock before invocation so a slow hook never blocks
-    /// hook registration.
-    hooks: Arc<RwLock<Vec<Arc<BatchHook>>>>,
     /// Enumeration buffers for [`SharedSketchTree::ingest_batch`], one per
     /// concurrent caller: a batch pops one (or starts a fresh one), and
     /// returns it warm, so steady-state batches allocate nothing.  The
@@ -56,30 +46,7 @@ impl SharedSketchTree {
     pub fn new(st: SketchTree) -> Self {
         Self {
             inner: Arc::new(RwLock::new(st)),
-            hooks: Arc::new(RwLock::new(Vec::new())),
             scratch: Arc::new(Mutex::new(Vec::new())),
-        }
-    }
-
-    /// Registers a hook run after every [`SharedSketchTree::ingest_batch`]
-    /// and [`SharedSketchTree::merge`] completes, under the shared read
-    /// lock on the post-batch state.  This is how a standing-query
-    /// evaluator sees each new epoch exactly once, however many readers
-    /// are subscribed.  (Single-tree [`SharedSketchTree::ingest`] does not
-    /// fire hooks: it is the low-latency path and servers batch.)
-    pub fn add_batch_hook(&self, hook: Arc<BatchHook>) {
-        self.hooks.write().push(hook);
-    }
-
-    /// Invokes every registered hook with shared access to the synopsis.
-    fn run_batch_hooks(&self) {
-        let hooks = self.hooks.read().clone();
-        if hooks.is_empty() {
-            return;
-        }
-        let guard = self.inner.read();
-        for h in &hooks {
-            h(&guard);
         }
     }
 
@@ -121,7 +88,6 @@ impl SharedSketchTree {
             self.inner.write().apply(window, &values);
         }
         self.scratch.lock().push((scratch, values));
-        self.run_batch_hooks();
         (trees.len() as u64, patterns)
     }
 
@@ -142,9 +108,7 @@ impl SharedSketchTree {
     /// requirement).  Queries observe either the pre- or post-merge state,
     /// never a partial merge.
     pub fn merge(&self, other: &SketchTree) -> Result<(), &'static str> {
-        self.inner.write().merge(other)?;
-        self.run_batch_hooks();
-        Ok(())
+        self.inner.write().merge(other)
     }
 
     /// Runs `f` with mutable access to the label table (for building input
@@ -366,33 +330,6 @@ mod tests {
         let bytes = st.read(crate::snapshot::write_snapshot);
         let restored = crate::snapshot::read_snapshot(&bytes).expect("snapshot readable");
         assert_eq!(restored.epoch(), 1);
-    }
-
-    #[test]
-    fn batch_hooks_fire_on_batch_and_merge_with_post_state() {
-        use std::sync::Mutex;
-        let st = shared();
-        let (a, b) = st.with_labels(|l| (l.intern("A"), l.intern("B")));
-        let seen: Arc<Mutex<Vec<(u64, u64)>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&seen);
-        st.add_batch_hook(Arc::new(move |s: &SketchTree| {
-            sink.lock().unwrap().push((s.epoch(), s.trees_processed()));
-        }));
-        let tree = Tree::node(a, vec![Tree::leaf(b)]);
-        st.ingest_batch(&[tree.clone(), tree.clone()]);
-        // Exactly one invocation per batch, observing the post-batch state.
-        {
-            let log = seen.lock().unwrap();
-            assert_eq!(log.len(), 1);
-            assert_eq!(log[0], (st.epoch(), 2));
-        }
-        let mut other = SketchTree::new(cfg());
-        let (oa, ob) = (other.labels_mut().intern("A"), other.labels_mut().intern("B"));
-        other.ingest(&Tree::node(oa, vec![Tree::leaf(ob)]));
-        st.merge(&other).expect("configs match");
-        let log = seen.lock().unwrap();
-        assert_eq!(log.len(), 2, "merge fires hooks too");
-        assert_eq!(log[1], (st.epoch(), 3));
     }
 
     #[test]

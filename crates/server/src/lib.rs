@@ -22,9 +22,9 @@
 //! - [`subs`] — standing-query subscription dispatch: a per-server table
 //!   bridging the transport-agnostic
 //!   [`sketchtree_standing::QueryRegistry`] to per-connection bounded
-//!   push queues, broadcast once per ingest batch from the synopsis'
-//!   batch hook (with slow-subscriber eviction so a stalled reader can
-//!   never wedge ingest).
+//!   push queues, broadcast once per ingest batch or merge, after its
+//!   ack (with slow-subscriber eviction so a stalled reader can never
+//!   wedge ingest).
 //! - [`metrics`] — server instrumentation: per-opcode latency histograms,
 //!   connection/byte counters, checkpoint timings, and scrape-time
 //!   sketch-health gauges.  Exposed over the SKTP `Metrics` opcode and,

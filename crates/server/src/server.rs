@@ -36,7 +36,7 @@ use crate::wire::{
     SubscribeMode, WireError, DEFAULT_MAX_FRAME, HEADER_LEN, INGEST_TREES_KIND,
 };
 use sketchtree_core::concurrent::SharedSketchTree;
-use sketchtree_core::sketchtree::{SketchTree, SketchTreeConfig};
+use sketchtree_core::sketchtree::SketchTreeConfig;
 use sketchtree_core::snapshot::{read_snapshot, write_snapshot};
 use sketchtree_wal::Wal;
 use sketchtree_standing::{QueryCache, QueryMode, QuerySpec};
@@ -182,14 +182,6 @@ impl Server {
             metrics.clone(),
             config.max_subscriptions_per_conn,
         ));
-        // Standing-query push: re-evaluate compiled plans and fan out
-        // EstimateUpdate frames once per ingest batch or merge, still
-        // under the read lock that observed it — so every pushed value
-        // belongs to exactly the epoch it reports.
-        {
-            let subs = subs.clone();
-            shared.add_batch_hook(Arc::new(move |st: &SketchTree| subs.broadcast(st)));
-        }
         let ctx = Arc::new(Ctx {
             shared: shared.clone(),
             shutdown: shutdown.clone(),
@@ -268,6 +260,12 @@ impl Server {
 
     /// The shared synopsis this server fronts (same handle the workers
     /// use — in-process callers may ingest or query directly).
+    ///
+    /// Standing-query pushes are sent by the wire handlers, after each
+    /// `Ingested` or `MergeDone` ack: an in-process `ingest_batch` or
+    /// `merge` pushes nothing by itself, and subscribers first see its
+    /// effect in the update for the next wire ingest or merge, at that
+    /// later epoch.
     pub fn shared(&self) -> &SharedSketchTree {
         &self.shared
     }
@@ -283,7 +281,7 @@ impl Server {
     }
 
     /// The standing-query subscription table (same instance the workers
-    /// and the batch hook use — for tests and in-process introspection).
+    /// use — for tests and in-process introspection).
     pub fn subscriptions(&self) -> &Subscriptions {
         &self.subs
     }
@@ -507,6 +505,13 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx) {
                 let done = matches!(resp, Response::ShuttingDown);
                 let sent = write_response(&writer, &resp, ctx);
                 ctx.metrics.observe_request(kind, started.elapsed());
+                // Standing-query push, after the ack: evaluate every
+                // registered query under one read lock and tag each update
+                // with the epoch it saw.  The batch is applied even when
+                // the ack write failed, so the push runs either way.
+                if matches!(resp, Response::Ingested { .. } | Response::MergeDone { .. }) {
+                    ctx.shared.read(|st| ctx.subs.broadcast(st));
+                }
                 if !sent || done {
                     break;
                 }

@@ -5,10 +5,12 @@
 //! `Subscribe` frame registers its query (refcounted — duplicate
 //! subscriptions to one canonical query share a single compiled plan) and
 //! files a subscription under its connection, whose entry holds a clone
-//! of that connection's bounded push sender.  The [`SharedSketchTree`]
-//! batch hook calls [`Subscriptions::broadcast`] once per ingest batch or
-//! merge, still under the shared read lock, so every pushed estimate is
-//! evaluated at exactly the epoch it reports.
+//! of that connection's bounded push sender.  The connection handler
+//! that applied an ingest batch or merge calls
+//! [`Subscriptions::broadcast`] once it has written the ack, under a
+//! shared read lock on the [`SharedSketchTree`], so every pushed estimate
+//! is evaluated at exactly the epoch it reports and the ingesting client
+//! never waits for evaluation or fan-out.
 //!
 //! Fan-out is **per connection, per epoch**: a broadcast gathers every
 //! update a connection's subscriptions get at that epoch, in ascending
@@ -32,8 +34,8 @@
 //! every method registers or unregisters with the registry strictly
 //! outside the table guard (subscribe registers first and rolls back on a
 //! cap rejection; removal paths collect doomed entries under the table
-//! lock, drop it, then release their registrations).  No callback ever
-//! re-enters the shared handle, so the hook cannot deadlock against
+//! lock, drop it, then release their registrations).  Nothing here
+//! re-enters the shared handle, so a broadcast cannot deadlock against
 //! ingest.  The L6 lock-order lint enforces the acyclicity workspace-wide.
 //!
 //! [`QueryRegistry`]: sketchtree_standing::QueryRegistry
@@ -81,8 +83,8 @@ pub struct Subscriptions {
     max_per_conn: usize,
     metrics: Arc<ServerMetrics>,
     /// Serializes [`Subscriptions::broadcast`] and records the last epoch
-    /// pushed.  Batch hooks run under the *shared* read lock, so two
-    /// connections' batches can fire concurrently; without this gate
+    /// pushed.  Broadcasts run under the *shared* read lock, so two
+    /// connections' batches can broadcast concurrently; without this gate
     /// their enqueues interleave and a subscriber can see epochs go
     /// backwards (observed by the loadgen harness).  The gate is the
     /// outermost lock in this module: it is only ever taken at the top of
@@ -169,7 +171,8 @@ impl Subscriptions {
     /// Re-evaluates every registered query against `st` and queues, per
     /// connection, one [`EpochUpdates`] holding a
     /// [`Response::EstimateUpdate`] for each of its live subscriptions.
-    /// Called from the batch hook, under the shared read lock.
+    /// Called by the connection handler after it acks an ingest batch or
+    /// merge, under the shared read lock.
     ///
     /// Evaluation cost is one pass over *distinct* registered queries —
     /// timed by `sketchtree_standing_eval_seconds`, whose sample count
@@ -181,7 +184,7 @@ impl Subscriptions {
     ///
     /// Broadcasts are serialized by `broadcast_gate`, which also makes
     /// per-subscription epochs *strictly increasing*: when concurrent
-    /// batches race, the hook that loses the gate sees the same
+    /// batches race, the broadcast that loses the gate sees the same
     /// post-batch state the winner already pushed (the caller holds the
     /// shared read lock, so `st` is the current synopsis, not a stale
     /// snapshot) and skips the redundant broadcast.

@@ -446,8 +446,8 @@ fn ingest_flood_is_backpressured_without_starving_other_connections() {
     server.shutdown().expect("clean shutdown");
 }
 
-/// Concurrent batch ingests fire the post-batch hook concurrently (it
-/// runs under the *shared* read lock).  Before the broadcast gate in
+/// Concurrent batch ingests broadcast concurrently (each handler's
+/// broadcast runs under the *shared* read lock).  Before the broadcast gate in
 /// `Subscriptions`, two racing broadcasts could interleave their
 /// per-subscription enqueues and push epochs out of order — the loadgen
 /// harness caught subscribers seeing epochs go backwards.  Epochs on one

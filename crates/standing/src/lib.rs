@@ -226,9 +226,10 @@ impl QueryRegistry {
     /// plan evaluation per distinct query — plans are only recompiled
     /// when what they depend on moved ([`SketchTree::is_current`]).
     ///
-    /// Call this under the same lock scope that observed the batch (the
-    /// [`sketchtree_core::concurrent::SharedSketchTree`] batch hook does),
-    /// so every returned estimate belongs to exactly `st.epoch()`.
+    /// Call this under the same lock scope that reads `st.epoch()` (as
+    /// the server does inside one
+    /// [`sketchtree_core::concurrent::SharedSketchTree::read`]), so every
+    /// returned estimate belongs to exactly that epoch.
     pub fn evaluate_all(&self, st: &SketchTree) -> Vec<(String, EstimateResult)> {
         let mut inner = self.lock();
         let mut out = Vec::with_capacity(inner.by_key.len());

@@ -1,10 +1,11 @@
 //! The standing-query parity gate (see `scripts/check.sh`): for random
 //! streams and a random set of registered queries — ordered, unordered,
 //! wildcard, descendant and expression — every estimate produced by the
-//! incremental evaluator (compiled plan, re-evaluated from the batch
-//! hook) is **bit-identical** to an ad-hoc query issued at the same
-//! epoch through the from-scratch pipeline.  This is the invariant that
-//! lets subscribers trust pushed updates as if they had queried.
+//! incremental evaluator (compiled plan, re-evaluated after each batch
+//! under one read lock, as the server's push path does) is
+//! **bit-identical** to an ad-hoc query issued at the same epoch through
+//! the from-scratch pipeline.  This is the invariant that lets
+//! subscribers trust pushed updates as if they had queried.
 //!
 //! The second property grows the label universe mid-stream, the way a
 //! value-labelled stream does: fresh labels every batch, and a query
@@ -16,7 +17,6 @@ use sketchtree_core::parse_expr;
 use sketchtree_standing::{EstimateResult, QueryMode, QueryRegistry, QuerySpec};
 use sketchtree_tree::{Label, Tree};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
 
 /// The query pool parity is checked against: every compilation path —
 /// simple patterns, wildcard and descendant expansion (summary-backed),
@@ -77,7 +77,7 @@ proptest::proptest! {
         });
 
         // Register the masked-in subset of the pool.
-        let registry = Arc::new(QueryRegistry::new());
+        let registry = QueryRegistry::new();
         let mut registered: Vec<(QueryMode, &str, String)> = Vec::new();
         for (i, &(mode, text)) in POOL.iter().enumerate() {
             if mask & (1 << i) != 0 {
@@ -88,24 +88,12 @@ proptest::proptest! {
             }
         }
 
-        // The incremental path: evaluate compiled plans from the batch
-        // hook, exactly as the server's push dispatcher does.
-        type Update = (u64, Vec<(String, EstimateResult)>);
-        let pushed: Arc<Mutex<Vec<Update>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&pushed);
-        let reg = Arc::clone(&registry);
-        shared.add_batch_hook(Arc::new(move |st: &SketchTree| {
-            sink.lock().unwrap().push((st.epoch(), reg.evaluate_all(st)));
-        }));
-
         for batch in trees.chunks(batch_size) {
             shared.ingest_batch(batch);
-            let (epoch, results) = pushed
-                .lock()
-                .unwrap()
-                .last()
-                .cloned()
-                .expect("hook fired for this batch");
+            // The incremental path: evaluate compiled plans and read the
+            // epoch under one read lock, exactly as the server's push
+            // dispatcher does after each ack.
+            let (epoch, results) = shared.read(|st| (st.epoch(), registry.evaluate_all(st)));
             // The push carries the post-batch epoch…
             proptest::prop_assert_eq!(epoch, shared.epoch());
             let results: HashMap<String, EstimateResult> = results.into_iter().collect();
@@ -173,8 +161,8 @@ proptest::proptest! {
             ["L0", "L1", "L2", "L3"].iter().map(|name| l.intern(name)).collect()
         });
 
-        let registry = Arc::new(QueryRegistry::new());
-        let resolved = Arc::new(QueryRegistry::new());
+        let registry = QueryRegistry::new();
+        let resolved = QueryRegistry::new();
         let mut registered: Vec<(QueryMode, &str, String)> = Vec::new();
         for &(mode, text) in POOL.iter().chain(LATE) {
             let spec = QuerySpec::parse(mode, text).expect("pool queries parse");
@@ -184,15 +172,6 @@ proptest::proptest! {
         for &(mode, text) in RESOLVED {
             resolved.register(QuerySpec::parse(mode, text).expect("resolved queries parse"));
         }
-
-        type Update = (u64, Vec<(String, EstimateResult)>);
-        let pushed: Arc<Mutex<Vec<Update>>> = Arc::new(Mutex::new(Vec::new()));
-        let sink = Arc::clone(&pushed);
-        let (reg, res) = (Arc::clone(&registry), Arc::clone(&resolved));
-        shared.add_batch_hook(Arc::new(move |st: &SketchTree| {
-            res.evaluate_all(st);
-            sink.lock().unwrap().push((st.epoch(), reg.evaluate_all(st)));
-        }));
 
         let late_key = QuerySpec::parse(QueryMode::Ordered, "L0(L5)").unwrap().key();
         for (i, chunk) in trees.chunks(batch_size).enumerate() {
@@ -207,7 +186,10 @@ proptest::proptest! {
                 batch.push(Tree::node(l5, vec![Tree::leaf(base[0]), Tree::leaf(base[1])]));
             }
             shared.ingest_batch(&batch);
-            let (epoch, results) = pushed.lock().unwrap().last().cloned().expect("hook fired");
+            let (epoch, results) = shared.read(|st| {
+                resolved.evaluate_all(st);
+                (st.epoch(), registry.evaluate_all(st))
+            });
             proptest::prop_assert_eq!(epoch, shared.epoch());
             let results: HashMap<String, EstimateResult> = results.into_iter().collect();
             for (mode, text, key) in &registered {

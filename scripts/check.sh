@@ -103,19 +103,29 @@ cargo test --quiet -p sketchtree-standing --test parity \
 cargo test --quiet -p sketchtree-standing --test parity \
     pushed_estimates_stay_bit_identical_while_the_label_universe_grows
 
-echo "==> push fan-out (one hand-off and one write per connection per epoch)"
+echo "==> push fan-out (ack first, then one hand-off and one write per connection per epoch)"
 # Each broadcast hands a subscriber connection one queue item holding all
 # of its updates for the epoch, in ascending id order; a full queue evicts
 # every subscription of that connection and no other's.  The pusher writes
 # the epoch as back-to-back standalone 0x8C frames, byte-identical to
 # per-update frames, and a raw reader on a connection that also carries
 # requests must see only well-formed frames, strictly increasing epochs
-# per subscription and values bit-identical to ad-hoc answers.
+# per subscription and values bit-identical to ad-hoc answers.  The
+# broadcast runs after the ack: on a connection that subscribes and
+# ingests, each Ingested / MergeDone reply precedes its epoch's updates
+# and a merge pushes once; a batch whose sender leaves before its ack
+# still pushes; an in-process ingest surfaces with the next wire ingest.
 cargo test --quiet -p sketchtree-server --lib subs::tests::
 cargo test --quiet -p sketchtree-server --lib \
     wire::tests::an_encoded_epoch_is_the_concatenation_of_standalone_update_frames
 cargo test --quiet -p sketchtree --test standing_e2e \
     raw_pushed_frames_stay_standalone_while_requests_interleave
+cargo test --quiet -p sketchtree --test standing_e2e \
+    the_ack_precedes_its_epochs_pushes_and_a_merge_pushes_once
+cargo test --quiet -p sketchtree --test standing_e2e \
+    a_batch_whose_sender_leaves_before_the_ack_still_pushes
+cargo test --quiet -p sketchtree --test standing_e2e \
+    an_in_process_ingest_surfaces_with_the_next_wire_ingest
 
 echo "==> loadgen-smoke (mixed-load harness end-to-end + BENCH schema)"
 # One short open-loop run against an in-process server: the emitted

@@ -2,7 +2,9 @@
 //! against a live server, pushed `EstimateUpdate` frames checked
 //! bit-for-bit against ad-hoc queries at the same epoch, plus the
 //! lifecycle and invalidation edge cases (unsubscribe, disconnect
-//! reaping, duplicate subscriptions, merge-driven refresh).
+//! reaping, duplicate subscriptions, merge-driven refresh), and the push
+//! ordering contract: an ingest or merge is acked before its epoch's
+//! updates are pushed.
 
 use sketchtree::server::{Client, Server, ServerConfig, SubscribeMode, Update};
 use sketchtree::{SketchTreeConfig, SynopsisConfig, XmlSketchTree};
@@ -48,6 +50,19 @@ fn collect(client: &mut Client, n: usize) -> HashMap<u64, Update> {
         got.insert(u.id, u);
     }
     got
+}
+
+/// Reads one response frame from a raw socket; `None` when the read
+/// timeout passes with no frame started.
+fn next_raw(raw: &mut std::net::TcpStream) -> Option<sketchtree::server::wire::Response> {
+    use sketchtree::server::wire::{read_frame, Frame, Response, DEFAULT_MAX_FRAME};
+    match read_frame(raw, DEFAULT_MAX_FRAME).expect("well-formed frame") {
+        Frame::Msg { kind, payload } => Some(
+            Response::decode(kind, &payload).expect("payload decodes with no trailing bytes"),
+        ),
+        Frame::Idle => None,
+        Frame::Eof => panic!("server closed the connection"),
+    }
 }
 
 /// The acceptance scenario: two subscribed clients plus one ad-hoc
@@ -159,7 +174,7 @@ fn pushed_updates_match_adhoc_bit_for_bit() {
 /// Satellite regression: a merge must invalidate everything.  Both the
 /// ad-hoc result cache and the pushed standing estimates have to reflect
 /// the post-merge synopsis — never a stale pre-merge value — because
-/// `merge` bumps the epoch and fires the batch hook like any ingest.
+/// `merge` bumps the epoch and broadcasts like any ingest.
 #[test]
 fn merge_refreshes_subscribed_and_cached_estimates() {
     let seed = 7;
@@ -286,7 +301,7 @@ fn subscription_lifecycle_over_the_wire() {
 /// pushed value is bit-identical to the ad-hoc answer at its epoch.
 #[test]
 fn raw_pushed_frames_stay_standalone_while_requests_interleave() {
-    use sketchtree::server::wire::{read_frame, Frame, Request, Response, DEFAULT_MAX_FRAME};
+    use sketchtree::server::wire::{Request, Response};
     use std::net::TcpStream;
 
     let server = Server::start(
@@ -297,14 +312,7 @@ fn raw_pushed_frames_stay_standalone_while_requests_interleave() {
     let mut feeder = Client::connect(server.addr()).expect("feeder connects");
     let mut raw = TcpStream::connect(server.addr()).expect("raw subscriber connects");
     raw.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
-    let next = |raw: &mut TcpStream| -> Response {
-        match read_frame(raw, DEFAULT_MAX_FRAME).expect("well-formed frame") {
-            Frame::Msg { kind, payload } => {
-                Response::decode(kind, &payload).expect("payload decodes with no trailing bytes")
-            }
-            other => panic!("expected a frame, got {other:?}"),
-        }
-    };
+    let next = |raw: &mut TcpStream| next_raw(raw).expect("a frame within the read timeout");
 
     let patterns = ["article(author)", "book(title)", "article(title)", "misc(k3)"];
     let mut ids = Vec::new();
@@ -357,5 +365,171 @@ fn raw_pushed_frames_stay_standalone_while_requests_interleave() {
     }
     assert_eq!(server.metrics().slow_subscriber_evictions.get(), 0);
     drop(raw);
+    server.shutdown().expect("clean shutdown");
+}
+
+/// Ack first, then push, seen from one raw connection that both
+/// subscribes and writes.  For every ingest batch, and for a wire
+/// `MergeSnapshot`, the reply is the next frame (no update of the new
+/// epoch, and no duplicate of an older one, may come before it); then
+/// each subscription gets exactly one update, at the post-batch epoch.
+/// A further batch after the merge shows the merge pushed only once.
+#[test]
+fn the_ack_precedes_its_epochs_pushes_and_a_merge_pushes_once() {
+    use sketchtree::server::wire::{Request, Response};
+    use std::net::TcpStream;
+
+    let seed = 23;
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig { sketch: config(seed), ..ServerConfig::default() },
+    )
+    .expect("server starts");
+    let mut raw = TcpStream::connect(server.addr()).expect("raw client connects");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).expect("read timeout");
+
+    let patterns = ["article(author)", "book(title)", "misc(k3)"];
+    let mut ids = Vec::new();
+    for p in patterns {
+        Request::Subscribe { mode: SubscribeMode::Ordered, query: p.to_string() }
+            .write_to(&mut raw)
+            .expect("subscribe sent");
+        match next_raw(&mut raw) {
+            Some(Response::Subscribed { id, .. }) => ids.push(id),
+            other => panic!("expected Subscribed, got {other:?}"),
+        }
+    }
+
+    let docs = corpus();
+    let (local, remote) = docs.split_at(docs.len() / 2);
+    let mut shard = XmlSketchTree::new(config(seed));
+    for doc in remote {
+        shard.ingest_xml(doc).unwrap();
+    }
+    let merge = Request::MergeSnapshot(sketchtree::write_snapshot(shard.inner()));
+    let requests = local
+        .chunks(20)
+        .map(|batch| Request::IngestXml(batch.to_vec()))
+        .chain([merge, Request::IngestXml(local[..20].to_vec())]);
+
+    let mut merges = 0;
+    for request in requests {
+        let is_merge = matches!(request, Request::MergeSnapshot(_));
+        let before = server.shared().epoch();
+        request.write_to(&mut raw).expect("request sent");
+        match next_raw(&mut raw) {
+            Some(Response::Ingested { .. }) if !is_merge => {}
+            Some(Response::MergeDone { .. }) if is_merge => merges += 1,
+            Some(Response::EstimateUpdate { id, epoch, .. }) => panic!(
+                "sub {id}: update at epoch {epoch} before the reply (epoch {before} \
+                 before the request)"
+            ),
+            other => panic!("expected the reply, got {other:?}"),
+        }
+        // This test is the only writer, so the epoch is final once acked.
+        let epoch = server.shared().epoch();
+        assert!(epoch > before, "the request must advance the epoch");
+        let mut seen = Vec::new();
+        while seen.len() < ids.len() {
+            match next_raw(&mut raw) {
+                Some(Response::EstimateUpdate { id, epoch: e, result }) => {
+                    assert_eq!(e, epoch, "sub {id}: update for the wrong epoch");
+                    result.expect("pushed estimate ok");
+                    seen.push(id);
+                }
+                other => panic!("expected an update at epoch {epoch}, got {other:?}"),
+            }
+        }
+        assert_eq!(seen, ids, "one update per subscription, ascending id");
+    }
+    assert_eq!(merges, 1);
+    // Nothing is left over once the last batch's updates are read.
+    raw.set_read_timeout(Some(Duration::from_millis(300))).expect("read timeout");
+    assert!(next_raw(&mut raw).is_none(), "an extra frame followed the last push");
+    drop(raw);
+    server.shutdown().expect("clean shutdown");
+}
+
+/// A client that sends a batch and hangs up without reading the ack has
+/// still had its batch applied, so that epoch is pushed to the other
+/// subscribers all the same.
+#[test]
+fn a_batch_whose_sender_leaves_before_the_ack_still_pushes() {
+    use sketchtree::server::wire::Request;
+    use std::net::{Shutdown, TcpStream};
+
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig { sketch: config(29), ..ServerConfig::default() },
+    )
+    .expect("server starts");
+    let mut sub = Client::connect(server.addr()).expect("subscriber connects");
+    let (id, _) = sub.subscribe(SubscribeMode::Ordered, "article(author)").expect("subscribe");
+
+    let docs = corpus();
+    let mut raw = TcpStream::connect(server.addr()).expect("raw sender connects");
+    Request::IngestXml(docs[..40].to_vec()).write_to(&mut raw).expect("batch sent");
+    let _ = raw.shutdown(Shutdown::Both);
+    drop(raw);
+
+    let update = sub
+        .next_update(Duration::from_secs(5))
+        .expect("update stream healthy")
+        .expect("the abandoned batch is pushed");
+    assert_eq!(update.id, id);
+    assert_eq!(server.shared().trees_processed(), 40, "the batch was applied");
+    assert_eq!(update.epoch, server.shared().epoch(), "pushed at the post-batch epoch");
+    let mut adhoc = Client::connect(server.addr()).expect("ad-hoc client connects");
+    let want = adhoc.count_ordered("article(author)").expect("ad-hoc query");
+    assert_eq!(update.result.expect("pushed estimate ok").to_bits(), want.to_bits());
+    server.shutdown().expect("clean shutdown");
+}
+
+/// Pushes are sent by the wire handlers after their acks, so an
+/// in-process `ingest_batch` through [`Server::shared`] pushes nothing by
+/// itself: subscribers see it inside the update of the next wire ingest,
+/// which is the only update, at that later epoch.
+#[test]
+fn an_in_process_ingest_surfaces_with_the_next_wire_ingest() {
+    use sketchtree::Tree;
+
+    let server = Server::start(
+        "127.0.0.1:0",
+        ServerConfig { sketch: config(31), ..ServerConfig::default() },
+    )
+    .expect("server starts");
+    let mut sub = Client::connect(server.addr()).expect("subscriber connects");
+    let (id, _) = sub.subscribe(SubscribeMode::Ordered, "article(author)").expect("subscribe");
+
+    let (article, author) =
+        server.shared().with_labels(|l| (l.intern("article"), l.intern("author")));
+    let trees: Vec<Tree> =
+        (0..10).map(|_| Tree::node(article, vec![Tree::leaf(author)])).collect();
+    server.shared().ingest_batch(&trees);
+    let in_process = server.shared().epoch();
+    assert!(
+        sub.next_update(Duration::from_millis(300)).expect("stream ok").is_none(),
+        "an in-process batch pushes nothing by itself"
+    );
+
+    let mut feeder = Client::connect(server.addr()).expect("feeder connects");
+    feeder.ingest_xml(&corpus()[..40]).expect("wire batch");
+    let wire = server.shared().epoch();
+    assert!(wire > in_process);
+    let update = sub
+        .next_update(Duration::from_secs(5))
+        .expect("update stream healthy")
+        .expect("the wire batch pushes");
+    assert_eq!((update.id, update.epoch), (id, wire), "one update, at the later epoch");
+    let want = feeder.count_ordered("article(author)").expect("ad-hoc query");
+    assert_eq!(
+        update.result.expect("pushed estimate ok").to_bits(),
+        want.to_bits(),
+        "the update covers both batches"
+    );
+    assert!(
+        sub.next_update(Duration::from_millis(300)).expect("stream ok").is_none(),
+        "exactly one update"
+    );
     server.shutdown().expect("clean shutdown");
 }
