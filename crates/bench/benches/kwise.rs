@@ -1,11 +1,11 @@
 //! ξ family evaluation cost — the innermost operation of every sketch
-//! update and estimate.  `xi_sign` compares one Mersenne-61 polynomial
-//! family at several independence degrees against the classic AMS BCH
-//! construction; `xi_row` times the row kernel a sign-cache miss runs,
-//! all `s1·s2` families of a slab for one key.
+//! update and estimate.  `xi_sign` times one Mersenne-61 polynomial
+//! family, evaluated by Horner, at several independence degrees; `xi_row`
+//! times the row kernel a sign-cache miss runs, all `s1·s2` families of a
+//! slab for one key.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sketchtree_hash::{m61, Bch4Sign, KWiseSign, Sign};
+use sketchtree_hash::{m61, KWiseSign};
 use sketchtree_sketch::XiSlab;
 
 fn bench_kwise(c: &mut Criterion) {
@@ -23,16 +23,6 @@ fn bench_kwise(c: &mut Criterion) {
             })
         });
     }
-    let bch = Bch4Sign::from_seed(42);
-    g.bench_function("bch4", |b| {
-        b.iter(|| {
-            let mut acc = 0i64;
-            for v in 0..1024u64 {
-                acc += bch.sign(black_box(v * 2654435761));
-            }
-            acc
-        })
-    });
     g.finish();
 }
 

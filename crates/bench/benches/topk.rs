@@ -1,11 +1,9 @@
 //! Top-k tracking overhead — the paper's §7.6 claim that growing the top-k
 //! size adds only marginal processing cost (5–10%), for the published
 //! Algorithm 4 (`Paper`) and for the Filter mode that counts tracked
-//! values in place — plus an ablation against the deterministic
-//! Misra–Gries and Space-Saving baselines.
+//! values in place.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use sketchtree_sketch::frequent::{MisraGries, SpaceSaving};
 use sketchtree_sketch::{StreamSynopsis, SynopsisConfig, TopKMode};
 
 /// A fixed skewed value stream.
@@ -58,30 +56,5 @@ fn bench_topk_insert(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_deterministic_baselines(c: &mut Criterion) {
-    let values = stream();
-    let mut g = c.benchmark_group("heavy_hitter_baselines");
-    g.throughput(Throughput::Elements(values.len() as u64));
-    g.bench_function("misra_gries_50", |b| {
-        b.iter(|| {
-            let mut mg = MisraGries::new(50);
-            for &v in &values {
-                mg.insert(v);
-            }
-            black_box(mg.heavy_hitters().len())
-        })
-    });
-    g.bench_function("space_saving_50", |b| {
-        b.iter(|| {
-            let mut ss = SpaceSaving::new(50);
-            for &v in &values {
-                ss.insert(v);
-            }
-            black_box(ss.heavy_hitters().len())
-        })
-    });
-    g.finish();
-}
-
-criterion_group!(benches, bench_topk_insert, bench_deterministic_baselines);
+criterion_group!(benches, bench_topk_insert);
 criterion_main!(benches);

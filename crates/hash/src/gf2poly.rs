@@ -144,7 +144,7 @@ impl Gf2Poly {
                 continue;
             }
             for (j, &b) in other.words.iter().enumerate() {
-                let prod = crate::gf2p64::clmul(a, b);
+                let prod = clmul(a, b);
                 acc[i + j] ^= prod as u64;
                 acc[i + j + 1] ^= (prod >> 64) as u64;
             }
@@ -253,6 +253,28 @@ impl Gf2Poly {
     }
 }
 
+/// Carry-less (polynomial) multiplication of two 64-bit words, producing the
+/// full 128-bit product — one word-by-word step of [`Gf2Poly::mul`].
+///
+/// A portable shift-and-XOR loop: SketchTree multiplies polynomials only
+/// while drawing a Rabin modulus (the irreducibility test), once per
+/// fingerprinter, so this is not on any per-element path.
+#[inline]
+fn clmul(a: u64, b: u64) -> u128 {
+    let mut acc: u128 = 0;
+    let a = u128::from(a);
+    let mut b = b;
+    let mut shift = 0u32;
+    while b != 0 {
+        let tz = b.trailing_zeros();
+        shift += tz;
+        acc ^= a << shift;
+        b >>= tz;
+        b &= !1; // clear the bit we just consumed
+    }
+    acc
+}
+
 /// Distinct prime divisors of `n` by trial division (n is a polynomial
 /// degree, so tiny).
 fn prime_divisors(mut n: usize) -> Vec<usize> {
@@ -276,6 +298,16 @@ fn prime_divisors(mut n: usize) -> Vec<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn clmul_matches_definition_small() {
+        // (x+1)(x+1) = x^2+1 over GF(2)
+        assert_eq!(clmul(0b11, 0b11), 0b101);
+        // x * x^63 = x^64
+        assert_eq!(clmul(1 << 63, 2), 1u128 << 64);
+        assert_eq!(clmul(0, 0xFFFF), 0);
+        assert_eq!(clmul(1, 0xDEAD_BEEF), 0xDEAD_BEEF);
+    }
 
     #[test]
     fn normalization_and_degree() {

@@ -8,45 +8,24 @@
 //! a product term over m distinct patterns needs (2m+1)-wise independent ξ's
 //! (Appendix B uses 5-wise for pairs).
 //!
-//! Two constructions are provided:
-//!
-//! * [`KWiseSign`] — evaluate a uniformly random polynomial of degree `k−1`
-//!   over the field `Z_p` with the Mersenne prime `p = 2^61 − 1` (fast
-//!   reduction; see [`crate::m61`]) and output the least-significant bit.
-//!   Over a field, a random degree-(k−1) polynomial is an exactly k-wise
-//!   independent uniform hash family; the low bit of a value uniform on
-//!   `[0, p)` has bias `1/(2p) < 2^{-61}` — negligible against the
-//!   `O(1/√s1)` estimation noise — and inherits the k-wise independence.
-//!   Keys are reduced mod `p`; SketchTree's mapped values are < 2^61 by
-//!   construction (fingerprint degree ≤ 61), so distinct values never
-//!   alias.
-//! * [`Bch4Sign`] — the original construction of Alon, Matias & Szegedy via
-//!   parity-check matrices of binary BCH codes: `ξ_x = (−1)^{s0 ⊕ ⟨s1,x⟩ ⊕
-//!   ⟨s2,x³⟩}` with `x³` computed in GF(2^64).  Kept both as a historical
-//!   reference and as a cross-check in the test suite.
+//! [`KWiseSign`] evaluates a uniformly random polynomial of degree `k−1`
+//! over the field `Z_p` with the Mersenne prime `p = 2^61 − 1` (fast
+//! reduction; see [`crate::m61`]) and outputs the least-significant bit.
+//! Over a field, a random degree-(k−1) polynomial is an exactly k-wise
+//! independent uniform hash family; the low bit of a value uniform on
+//! `[0, p)` has bias `1/(2p) < 2^{-61}` — negligible against the
+//! `O(1/√s1)` estimation noise — and inherits the k-wise independence.
+//! Keys are reduced mod `p`; SketchTree's mapped values are < 2^61 by
+//! construction (fingerprint degree ≤ 61), so distinct values never alias.
 
-use crate::gf2p64;
 use crate::m61;
 use crate::splitmix::SplitMix64;
 
-/// A ±1 sign family over 64-bit keys.
-pub trait Sign {
-    /// Returns `+1` or `−1` for the given key.
-    fn sign(&self, key: u64) -> i64;
-
-    /// Returns the sign as a boolean (`true` for −1), handy for branch-free
-    /// accumulation.
-    #[inline]
-    fn is_negative(&self, key: u64) -> bool {
-        self.sign(key) < 0
-    }
-}
-
 /// Exactly k-wise independent ±1 variables from a random polynomial over
-/// GF(2^64).
+/// `Z_p`, `p = 2^61 − 1`.
 ///
 /// ```
-/// use sketchtree_hash::{KWiseSign, Sign};
+/// use sketchtree_hash::KWiseSign;
 /// let xi = KWiseSign::from_seed(42, 4);
 /// let s = xi.sign(12345);
 /// assert!(s == 1 || s == -1);
@@ -96,16 +75,15 @@ impl KWiseSign {
     /// Exposed so callers that pack many families into one contiguous
     /// coefficient table (e.g. a sketch bank's ξ slab) can copy the exact
     /// coefficients this family evaluates — the signs then stay
-    /// bit-identical to evaluating through [`Sign::sign`].
+    /// bit-identical to evaluating through [`KWiseSign::sign`].
     #[inline]
     pub fn coefficients(&self) -> &[u64] {
         &self.coeffs
     }
-}
 
-impl Sign for KWiseSign {
+    /// Returns `+1` or `−1` for the given key.
     #[inline]
-    fn sign(&self, key: u64) -> i64 {
+    pub fn sign(&self, key: u64) -> i64 {
         sign_from_coefficients(&self.coeffs, m61::reduce(key))
     }
 }
@@ -116,70 +94,14 @@ impl Sign for KWiseSign {
 /// The caller applies [`m61::reduce`] once; hot loops that evaluate many
 /// families against the same key reduce the key a single time instead of
 /// once per family.  Evaluating through this function is bit-identical to
-/// [`Sign::sign`] on the owning [`KWiseSign`].
+/// [`KWiseSign::sign`].
 #[inline]
 pub fn sign_from_coefficients(coeffs: &[u64], reduced_key: u64) -> i64 {
-    // Four coefficients (the default independence) get a fully unrolled
-    // Horner chain — query-time estimation evaluates one family per
-    // (sketch, query value), and the unroll lets the compiler schedule
-    // the four mul/add steps without loop-carried bookkeeping.  (Whole
-    // sign rows on the ingest path use the sketch crate's slab kernel.)
-    // The operations and their order are exactly `m61::eval_poly`'s, so
-    // the sign is bit-identical to the generic path.
-    let v = if let [c0, c1, c2, c3] = *coeffs {
-        let x = reduced_key;
-        let acc = m61::add(m61::mul(0, x), c3);
-        let acc = m61::add(m61::mul(acc, x), c2);
-        let acc = m61::add(m61::mul(acc, x), c1);
-        m61::add(m61::mul(acc, x), c0)
-    } else {
-        m61::eval_poly(coeffs, reduced_key)
-    };
+    // Horner's rule, one family at a time: whole sign rows (every insert
+    // and every compiled query) use the sketch crate's slab kernel, which
+    // yields the same canonical residue and so the same sign.
+    let v = m61::eval_poly(coeffs, reduced_key);
     1 - 2 * ((v & 1) as i64)
-}
-
-/// The classic AMS four-wise independent construction from BCH codes.
-///
-/// `ξ_x = (−1)^{s0 ⊕ parity(s1 & x) ⊕ parity(s2 & x³)}` where `x³` is the
-/// cube of `x` in GF(2^64).  The vectors `(1, x, x³)` over GF(2^64) are the
-/// columns of the parity-check matrix of the 2-error-correcting BCH code,
-/// whose dual has minimum distance 5, which is precisely four-wise
-/// independence of the sign family.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Bch4Sign {
-    s0: bool,
-    s1: u64,
-    s2: u64,
-}
-
-impl Bch4Sign {
-    /// Builds a four-wise independent BCH family from a seed.
-    pub fn from_seed(seed: u64) -> Self {
-        let mut rng = SplitMix64::new(seed);
-        Self {
-            s0: rng.next_u64() & 1 == 1,
-            s1: rng.next_u64(),
-            s2: rng.next_u64(),
-        }
-    }
-}
-
-#[inline]
-fn parity64(v: u64) -> bool {
-    v.count_ones() & 1 == 1
-}
-
-impl Sign for Bch4Sign {
-    #[inline]
-    fn sign(&self, key: u64) -> i64 {
-        let cube = gf2p64::mul(gf2p64::square(key), key);
-        let bit = self.s0 ^ parity64(self.s1 & key) ^ parity64(self.s2 & cube);
-        if bit {
-            -1
-        } else {
-            1
-        }
-    }
 }
 
 #[cfg(test)]
@@ -189,10 +111,8 @@ mod tests {
     #[test]
     fn signs_are_plus_minus_one() {
         let xi = KWiseSign::from_seed(1, 4);
-        let bch = Bch4Sign::from_seed(1);
         for key in 0..1000u64 {
             assert!(matches!(xi.sign(key), 1 | -1));
-            assert!(matches!(bch.sign(key), 1 | -1));
         }
     }
 
@@ -253,17 +173,6 @@ mod tests {
             })
             .sum();
         assert!(sum.abs() < 250, "correlated 4-tuple sum {sum}");
-    }
-
-    #[test]
-    fn bch_empirical_fourwise() {
-        let sum: i64 = (0..4000u64)
-            .map(|s| {
-                let xi = Bch4Sign::from_seed(s);
-                xi.sign(3) * xi.sign(17) * xi.sign(1 << 40) * xi.sign(u64::MAX)
-            })
-            .sum();
-        assert!(sum.abs() < 250, "BCH 4-tuple correlated: {sum}");
     }
 
     /// Exact exhaustive check of pairwise independence for a *small* field

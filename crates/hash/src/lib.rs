@@ -6,12 +6,11 @@
 //! * [`splitmix`] — a tiny deterministic seed-expansion PRNG
 //!   ([`splitmix::SplitMix64`]) used to derive per-sketch random coefficients
 //!   from a single `u64` seed.
-//! * [`gf2p64`] — carry-less arithmetic in the finite field GF(2^64),
-//!   the backbone of the exactly k-wise independent hash families.
+//! * [`m61`] — arithmetic in the prime field `Z_p`, `p = 2^61 − 1`, with
+//!   Mersenne reduction: the field the ξ polynomials are evaluated in.
 //! * [`kwise`] — k-wise independent ±1 random variables (the `ξ` variables
-//!   of the AMS sketch construction, paper Section 3), both as random
-//!   polynomials over GF(2^64) and as the classic BCH-code construction from
-//!   Alon, Matias & Szegedy.
+//!   of the AMS sketch construction, paper Section 3) as random
+//!   polynomials over `Z_p`.
 //! * [`gf2poly`] — polynomials over GF(2) of arbitrary degree, with Rabin's
 //!   irreducibility test and random irreducible-polynomial generation
 //!   (paper Section 6.1).
@@ -27,7 +26,6 @@
 #![warn(clippy::all)]
 
 pub mod bignat;
-pub mod gf2p64;
 pub mod gf2poly;
 pub mod kwise;
 pub mod m61;
@@ -37,7 +35,7 @@ pub mod splitmix;
 
 pub use bignat::BigNat;
 pub use gf2poly::Gf2Poly;
-pub use kwise::{Bch4Sign, KWiseSign, Sign};
+pub use kwise::KWiseSign;
 pub use pairing::{pair2, pair_tuple, unpair2};
 pub use rabin::RabinFingerprinter;
 pub use splitmix::SplitMix64;

@@ -1,31 +1,10 @@
 //! Property-based tests for the hashing substrates.
 
 use proptest::prelude::*;
-use sketchtree_hash::{bignat::BigNat, gf2p64, gf2poly::Gf2Poly, m61, pairing, rabin::RabinFingerprinter};
+use sketchtree_hash::{bignat::BigNat, gf2poly::Gf2Poly, m61, pairing, rabin::RabinFingerprinter};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
-
-    // ---- GF(2^64) field laws ----
-
-    #[test]
-    fn gf2p64_field_laws(a in any::<u64>(), b in any::<u64>(), c in any::<u64>()) {
-        prop_assert_eq!(gf2p64::mul(a, b), gf2p64::mul(b, a));
-        prop_assert_eq!(
-            gf2p64::mul(gf2p64::mul(a, b), c),
-            gf2p64::mul(a, gf2p64::mul(b, c))
-        );
-        prop_assert_eq!(
-            gf2p64::mul(a, gf2p64::add(b, c)),
-            gf2p64::add(gf2p64::mul(a, b), gf2p64::mul(a, c))
-        );
-        prop_assert_eq!(gf2p64::mul(a, 1), a);
-    }
-
-    #[test]
-    fn gf2p64_inverse(a in 1u64..) {
-        prop_assert_eq!(gf2p64::mul(a, gf2p64::inverse(a)), 1);
-    }
 
     // ---- Mersenne-61 field vs u128 reference ----
 

@@ -150,7 +150,7 @@ mod tests {
     use super::*;
 
     fn run_on(src: &str) -> Vec<RawFinding> {
-        let f = SourceFile::parse("crates/sketch/src/ams.rs", src);
+        let f = SourceFile::parse("crates/sketch/src/bank.rs", src);
         let mut out = Vec::new();
         ArithDiscipline.run(&f, &mut out);
         out

@@ -150,7 +150,7 @@ mod tests {
     #[test]
     fn scope_is_limited() {
         assert!(PanicFree.applies("crates/server/src/server.rs"));
-        assert!(PanicFree.applies("crates/sketch/src/ams.rs"));
+        assert!(PanicFree.applies("crates/sketch/src/bank.rs"));
         assert!(PanicFree.applies("crates/core/src/sketchtree.rs"));
         assert!(!PanicFree.applies("crates/core/src/exact.rs"));
         assert!(!PanicFree.applies("crates/tree/src/prufer.rs"));

@@ -8,16 +8,15 @@
 //! for relative error ε), the median controls confidence
 //! (`s2 = 2·lg(1/δ)`).
 //!
-//! The bank evaluates three estimator families:
-//!
-//! * point counts `ξ_q·X` (Theorem 1),
-//! * set counts `X·Σξ` (Theorem 2), and
-//! * general expression terms `coeff·Xᵏ/k!·Πξ` (Section 4),
-//!
-//! all with optional *restore lists* — `(value, frequency)` pairs that are
-//! virtually added back to `X` at query time, which is how the top-k
-//! strategy's deleted heavy hitters are compensated (Section 5.2: replace
-//! `X` by `X + Σ ξ_q f_q`).
+//! The bank evaluates one estimator itself: the point count `ξ_q·X` of
+//! Theorem 1 from a precomputed sign row
+//! ([`SketchBank::estimate_point_with_signs_into`]), the estimate the
+//! top-k strategy takes on every insert.  Set counts (Theorem 2),
+//! expression terms (Section 4) and the top-k *restore lists* that add
+//! deleted heavy hitters back at query time (Section 5.2: replace `X` by
+//! `X + Σ ξ_q f_q`) are compiled into [`crate::QueryPlan`]s, which read
+//! the counters of several banks and boost through
+//! [`SketchBank::boost`].
 //!
 //! ## Memory layout (the ingest hot path)
 //!
@@ -30,7 +29,6 @@
 //! same `(seed, s1, s2, independence)` (Section 5.3's shared-seed
 //! requirement).
 
-use crate::expr::Term;
 use crate::xislab::{XiSlab, INDEPENDENCE_RANGE};
 use sketchtree_hash::kwise::sign_from_coefficients;
 use sketchtree_hash::m61;
@@ -43,7 +41,9 @@ use std::sync::Arc;
 /// let mut bank = SketchBank::new(1, 60, 7, 4);
 /// for _ in 0..500 { bank.update(3, 1); }
 /// bank.update(9, 40);
-/// let est = bank.estimate_point(3);
+/// let (mut signs, mut ys) = (Vec::new(), Vec::new());
+/// bank.signs_into(3, &mut signs);
+/// let est = bank.estimate_point_with_signs_into(&signs, &mut ys);
 /// assert!((est - 500.0).abs() < 50.0);
 /// ```
 #[derive(Debug, Clone)]
@@ -174,65 +174,6 @@ impl SketchBank {
     /// stored, exactly as Section 3.1 notes).
     pub fn memory_bytes(&self) -> usize {
         self.counters.len() * (8 + 8)
-    }
-
-    #[inline]
-    fn sketch(&self, i: usize, j: usize) -> SketchView<'_> {
-        self.sketch_at(i * self.s1 + j)
-    }
-
-    /// Point estimate of the frequency of `value` (Theorem 1 / Algorithm 2
-    /// with a single-query list).
-    pub fn estimate_point(&self, value: u64) -> f64 {
-        self.estimate_point_restored(value, &[])
-    }
-
-    /// Point estimate with a restore list (top-k compensation).
-    pub fn estimate_point_restored(&self, value: u64, restore: &[(u64, i64)]) -> f64 {
-        self.estimate_set_restored(&[value], restore)
-    }
-
-    /// Estimate of `Σ_q f_q` for a set of *distinct* values (Theorem 2):
-    /// per sketch, `Z = (Σ ξ_q) · X_eff`.
-    pub fn estimate_set_restored(&self, values: &[u64], restore: &[(u64, i64)]) -> f64 {
-        self.median_of_means(|s| {
-            let x_eff = effective_x(s, restore);
-            let xi_sum: i64 = values.iter().map(|&v| s.sign(v)).sum();
-            // lint:allow(L3, reason = "f64 product cannot wrap; it saturates to infinity")
-            xi_sum as f64 * x_eff as f64
-        })
-    }
-
-    /// Estimate of expanded expression terms (Section 4): per sketch,
-    /// `Σ_terms coeff · X_effᵏ/k! · Πξ`.
-    pub fn estimate_terms_restored(&self, terms: &[Term], restore: &[(u64, i64)]) -> f64 {
-        self.median_of_means(|s| {
-            let x_eff = effective_x(s, restore) as f64;
-            terms
-                .iter()
-                .map(|t| term_value(s, t, x_eff))
-                .sum::<f64>()
-        })
-    }
-
-    /// Estimate of the self-join size `SJ(S) = Σ f_i²` via the AMS
-    /// second-moment estimator (median of means of `X²`).
-    pub fn estimate_self_join(&self) -> f64 {
-        self.median_of_means(|s| s.second_moment() as f64)
-    }
-
-    /// Median over the `s2` groups of the mean over `s1` sketches of
-    /// `per_sketch` — the boosting of Theorem 1.
-    pub fn median_of_means(&self, per_sketch: impl Fn(SketchView<'_>) -> f64) -> f64 {
-        let mut ys: Vec<f64> = (0..self.s2)
-            .map(|i| {
-                (0..self.s1)
-                    .map(|j| per_sketch(self.sketch(i, j)))
-                    .sum::<f64>()
-                    / self.s1 as f64
-            })
-            .collect();
-        median_in_place(&mut ys)
     }
 
     /// Total number of sketches (`s1 × s2`).
@@ -371,16 +312,11 @@ impl SketchBank {
         }
     }
 
-    /// Point estimate using precomputed signs (no restore list — the
-    /// ingest path calls this right after restoring, so `X` is complete).
-    pub fn estimate_point_with_signs(&self, signs: &[i8]) -> f64 {
-        let mut ys = Vec::new();
-        self.estimate_point_with_signs_into(signs, &mut ys)
-    }
-
-    /// [`SketchBank::estimate_point_with_signs`] with a caller-owned group
-    /// scratch buffer, so the per-value top-k estimate allocates nothing
-    /// after warm-up.
+    /// Point estimate of a value from its precomputed signs (Theorem 1 /
+    /// Algorithm 2), with no restore list: the ingest path calls this
+    /// right after restoring, so `X` is complete.  `ys` is a caller-owned
+    /// group scratch buffer, so the per-value top-k estimate allocates
+    /// nothing after warm-up.
     pub fn estimate_point_with_signs_into(&self, signs: &[i8], ys: &mut Vec<f64>) -> f64 {
         debug_assert_eq!(signs.len(), self.counters.len());
         ys.clear();
@@ -415,32 +351,6 @@ fn signed(g: i8, c: i64) -> f64 {
     c as f64 * FACTOR[usize::from(g.cast_unsigned() >> 7)]
 }
 
-/// `X + Σ ξ_v · f_v` over the restore list.
-///
-/// Saturating: frequencies near `i64::MIN/MAX` only occur in corrupted
-/// or hostile snapshots, and an estimate clamped at the integer edge is
-/// preferable to an overflow panic in the query path.
-#[inline]
-pub(crate) fn effective_x(s: SketchView<'_>, restore: &[(u64, i64)]) -> i64 {
-    let mut x = s.raw();
-    for &(v, f) in restore {
-        x = x.saturating_add(s.sign(v).saturating_mul(f));
-    }
-    x
-}
-
-/// `coeff · X^k/k! · Πξ` for one term.
-#[inline]
-pub(crate) fn term_value(s: SketchView<'_>, t: &Term, x_eff: f64) -> f64 {
-    let k = t.queries.len();
-    let xi_prod: i64 = t.queries.iter().map(|&q| s.sign(q)).product();
-    let factorial: f64 = (2..=k).map(|i| i as f64).product();
-    // A term with an absurd product size degrades to ±inf rather than
-    // silently truncating the exponent.
-    let exp = i32::try_from(k).unwrap_or(i32::MAX);
-    t.coeff as f64 * x_eff.powi(exp) / factorial * xi_prod as f64
-}
-
 /// Median of a mutable slice (average of middle two when even).
 pub(crate) fn median_in_place(xs: &mut [f64]) -> f64 {
     assert!(!xs.is_empty());
@@ -455,10 +365,109 @@ pub(crate) fn median_in_place(xs: &mut [f64]) -> f64 {
     }
 }
 
+/// The estimators as per-sketch formulas — ξ by Horner through
+/// [`SketchView::sign`], one median of means per call: the oracle the
+/// production point estimate and the compiled plans (`plan::oracle`)
+/// must match to the bit.
+#[cfg(test)]
+pub(crate) mod oracle {
+    use super::*;
+    use crate::expr::Term;
+
+    /// Point estimate of the frequency of `value` (Theorem 1 / Algorithm 2
+    /// with a single-query list).
+    pub(crate) fn estimate_point(bank: &SketchBank, value: u64) -> f64 {
+        estimate_point_restored(bank, value, &[])
+    }
+
+    /// Point estimate with a restore list (top-k compensation).
+    pub(crate) fn estimate_point_restored(
+        bank: &SketchBank,
+        value: u64,
+        restore: &[(u64, i64)],
+    ) -> f64 {
+        estimate_set_restored(bank, &[value], restore)
+    }
+
+    /// Estimate of `Σ_q f_q` for a set of *distinct* values (Theorem 2):
+    /// per sketch, `Z = (Σ ξ_q) · X_eff`.
+    pub(crate) fn estimate_set_restored(
+        bank: &SketchBank,
+        values: &[u64],
+        restore: &[(u64, i64)],
+    ) -> f64 {
+        median_of_means(bank, |s| {
+            let x_eff = effective_x(s, restore);
+            let xi_sum: i64 = values.iter().map(|&v| s.sign(v)).sum();
+            xi_sum as f64 * x_eff as f64
+        })
+    }
+
+    /// Estimate of expanded expression terms (Section 4): per sketch,
+    /// `Σ_terms coeff · X_effᵏ/k! · Πξ`.
+    pub(crate) fn estimate_terms_restored(
+        bank: &SketchBank,
+        terms: &[Term],
+        restore: &[(u64, i64)],
+    ) -> f64 {
+        median_of_means(bank, |s| {
+            let x_eff = effective_x(s, restore) as f64;
+            terms.iter().map(|t| term_value(s, t, x_eff)).sum::<f64>()
+        })
+    }
+
+    /// Estimate of the self-join size `SJ(S) = Σ f_i²` via the AMS
+    /// second-moment estimator (median of means of `X²`).
+    pub(crate) fn estimate_self_join(bank: &SketchBank) -> f64 {
+        median_of_means(bank, |s| s.second_moment() as f64)
+    }
+
+    /// Median over the `s2` groups of the mean over `s1` sketches of
+    /// `per_sketch` — the boosting of Theorem 1.
+    fn median_of_means(bank: &SketchBank, per_sketch: impl Fn(SketchView<'_>) -> f64) -> f64 {
+        let mut ys: Vec<f64> = (0..bank.s2)
+            .map(|i| {
+                (0..bank.s1).map(|j| per_sketch(bank.sketch_at(i * bank.s1 + j))).sum::<f64>()
+                    / bank.s1 as f64
+            })
+            .collect();
+        median_in_place(&mut ys)
+    }
+
+    /// `X + Σ ξ_v · f_v` over the restore list.
+    ///
+    /// Saturating: frequencies near `i64::MIN/MAX` only occur in corrupted
+    /// or hostile snapshots, and an estimate clamped at the integer edge is
+    /// preferable to an overflow panic in the query path.
+    pub(crate) fn effective_x(s: SketchView<'_>, restore: &[(u64, i64)]) -> i64 {
+        let mut x = s.raw();
+        for &(v, f) in restore {
+            x = x.saturating_add(s.sign(v).saturating_mul(f));
+        }
+        x
+    }
+
+    /// `coeff · X^k/k! · Πξ` for one term.
+    pub(crate) fn term_value(s: SketchView<'_>, t: &Term, x_eff: f64) -> f64 {
+        let k = t.queries.len();
+        let xi_prod: i64 = t.queries.iter().map(|&q| s.sign(q)).product();
+        let factorial: f64 = (2..=k).map(|i| i as f64).product();
+        // A term with an absurd product size degrades to ±inf rather than
+        // silently truncating the exponent.
+        let exp = i32::try_from(k).unwrap_or(i32::MAX);
+        t.coeff as f64 * x_eff.powi(exp) / factorial * xi_prod as f64
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use super::oracle::{
+        estimate_point, estimate_point_restored, estimate_self_join, estimate_set_restored,
+        estimate_terms_restored,
+    };
     use super::*;
     use crate::expr::Expr;
+    use proptest::prelude::*;
 
     /// A small synthetic stream with known frequencies.
     fn fill(bank: &mut SketchBank, freqs: &[(u64, i64)]) {
@@ -473,14 +482,14 @@ mod tests {
         let mut bank = SketchBank::new(99, 120, 7, 4);
         fill(&mut bank, &freqs);
         // f_100 = 1 + 100 % 10 = 1; heavy value check instead: f_9 = 10.
-        let est = bank.estimate_point(9);
+        let est = estimate_point(&bank, 9);
         assert!((est - 10.0).abs() < 15.0, "est {est}");
         // Large frequency: est should be relatively accurate.
         let mut bank2 = SketchBank::new(7, 120, 7, 4);
         let mut freqs2 = freqs.clone();
         freqs2.push((777, 500));
         fill(&mut bank2, &freqs2);
-        let est2 = bank2.estimate_point(777);
+        let est2 = estimate_point(&bank2, 777);
         assert!(
             (est2 - 500.0).abs() / 500.0 < 0.15,
             "relative error too high: {est2}"
@@ -492,7 +501,7 @@ mod tests {
         let freqs: Vec<(u64, i64)> = vec![(1, 300), (2, 200), (3, 100), (4, 50), (5, 10)];
         let mut bank = SketchBank::new(5, 150, 7, 4);
         fill(&mut bank, &freqs);
-        let est = bank.estimate_set_restored(&[1, 2, 3], &[]);
+        let est = estimate_set_restored(&bank, &[1, 2, 3], &[]);
         let truth = 600.0;
         assert!((est - truth).abs() / truth < 0.15, "est {est}");
     }
@@ -504,10 +513,10 @@ mod tests {
         // Delete the heavy hitter from the sketches, as top-k would.
         bank.update(10, -400);
         // Without compensation the estimate of 10 is ~0.
-        let raw = bank.estimate_point(10);
+        let raw = estimate_point(&bank, 10);
         assert!(raw.abs() < 50.0, "deleted value still visible: {raw}");
         // With the restore list the estimate is exact-ish again.
-        let est = bank.estimate_point_restored(10, &[(10, 400)]);
+        let est = estimate_point_restored(&bank, 10, &[(10, 400)]);
         assert!((est - 400.0).abs() / 400.0 < 0.1, "est {est}");
     }
 
@@ -518,7 +527,7 @@ mod tests {
         fill(&mut bank, &[(1, 120), (2, 80), (3, 40), (4, 10)]);
         let (terms, indep) = Expr::product_of_counts(&[1, 2]).expand().unwrap();
         assert_eq!(indep, 5);
-        let est = bank.estimate_terms_restored(&terms, &[]);
+        let est = estimate_terms_restored(&bank, &terms, &[]);
         let truth = 120.0 * 80.0;
         assert!(
             (est - truth).abs() / truth < 0.4,
@@ -533,7 +542,7 @@ mod tests {
         fill(&mut bank, &[(1, 120), (2, 80), (3, 40)]);
         let e = Expr::Sub(Box::new(Expr::Count(1)), Box::new(Expr::Count(2)));
         let (terms, _) = e.expand().unwrap();
-        let est = bank.estimate_terms_restored(&terms, &[]);
+        let est = estimate_terms_restored(&bank, &terms, &[]);
         assert!((est - 40.0).abs() < 25.0, "est {est}");
     }
 
@@ -543,7 +552,7 @@ mod tests {
         let truth = (100 * 100 + 50 * 50 + 20 * 20) as f64;
         let mut bank = SketchBank::new(51, 200, 9, 4);
         fill(&mut bank, &freqs);
-        let est = bank.estimate_self_join();
+        let est = estimate_self_join(&bank);
         assert!((est - truth).abs() / truth < 0.2, "est {est} truth {truth}");
     }
 
@@ -554,7 +563,7 @@ mod tests {
         for i in 0..2 {
             for j in 0..3 {
                 for v in [0u64, 5, 999] {
-                    assert_eq!(a.sketch(i, j).sign(v), b.sketch(i, j).sign(v));
+                    assert_eq!(a.sketch_at(i * 3 + j).sign(v), b.sketch_at(i * 3 + j).sign(v));
                 }
             }
         }
@@ -619,20 +628,6 @@ mod tests {
     }
 
     #[test]
-    fn estimate_with_signs_scratch_matches_allocating_form() {
-        let mut bank = SketchBank::new(77, 8, 5, 4);
-        fill(&mut bank, &[(3, 40), (9, 12), (1 << 50, 7)]);
-        let mut signs = Vec::new();
-        let mut ys = Vec::new();
-        for v in [3u64, 9, 1 << 50, 999] {
-            bank.signs_into(v, &mut signs);
-            let a = bank.estimate_point_with_signs(&signs);
-            let b = bank.estimate_point_with_signs_into(&signs, &mut ys);
-            assert_eq!(a, b, "value {v}");
-        }
-    }
-
-    #[test]
     fn estimate_with_signs_survives_a_counter_at_i64_min() {
         // Only a hostile snapshot (or 2⁶³ of wrapped mass) puts a counter
         // at i64::MIN; the estimate must neither panic nor flip its sign.
@@ -689,6 +684,73 @@ mod tests {
             let got = bank.estimate_point_with_signs_into(&signs, &mut Vec::new());
             let want = integer_product_estimate(&counters, &signs, s1);
             proptest::prop_assert_eq!(got.to_bits(), want.to_bits());
+        }
+    }
+
+    proptest::proptest! {
+        /// The production point estimate — signs from the ξ row kernel,
+        /// then the signed group sums — equals the Horner oracle over
+        /// random streams at every degree a synopsis accepts from 4 up,
+        /// bit for bit, except in the sign of a zero: the production
+        /// estimate is always `+0.0` there, where the oracle's float
+        /// product `−1.0 · 0.0` can leave `−0.0`.
+        #[test]
+        fn production_point_estimate_matches_the_oracle(
+            seed in any::<u64>(),
+            k in 4usize..=64,
+            s1 in 1usize..6,
+            s2 in 1usize..6,
+            stream in prop::collection::vec(
+                (
+                    prop_oneof![
+                        0u64..6,
+                        any::<u64>(),
+                        (0usize..3).prop_map(|i| [m61::P - 1, m61::P, u64::MAX][i]),
+                    ],
+                    prop_oneof![-3i64..4, any::<i64>()],
+                ),
+                0..24,
+            ),
+            absent in any::<u64>(),
+        ) {
+            let mut bank = SketchBank::new(seed, s1, s2, k);
+            for &(v, c) in &stream {
+                bank.update(v, c);
+            }
+            let (mut signs, mut ys) = (Vec::new(), Vec::new());
+            for v in stream.iter().map(|&(v, _)| v).chain([absent]) {
+                bank.signs_into(v, &mut signs);
+                let got = bank.estimate_point_with_signs_into(&signs, &mut ys);
+                let want = estimate_point(&bank, v);
+                prop_assert!(
+                    got.to_bits() == want.to_bits()
+                        || (want == 0.0 && got.to_bits() == 0f64.to_bits()),
+                    "value {}: production {:?} vs oracle {:?}",
+                    v,
+                    got,
+                    want
+                );
+            }
+        }
+
+        /// Restore lists invert deletions algebraically: the estimate after
+        /// deleting a value and restoring it equals the estimate before
+        /// deleting.
+        #[test]
+        fn restore_inverts_delete(
+            seed in any::<u64>(),
+            freqs in prop::collection::btree_map(any::<u64>(), 1i64..100, 2..10),
+        ) {
+            let freqs: Vec<(u64, i64)> = freqs.into_iter().collect();
+            let mut bank = SketchBank::new(seed, 4, 3, 4);
+            for &(v, f) in &freqs {
+                bank.update(v, f);
+            }
+            let (dv, df) = freqs[0];
+            let before = estimate_point_restored(&bank, dv, &[]);
+            bank.update(dv, -df);
+            let after = estimate_point_restored(&bank, dv, &[(dv, df)]);
+            prop_assert_eq!(before, after);
         }
     }
 

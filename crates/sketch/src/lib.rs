@@ -4,13 +4,11 @@
 //! approximate count with provable error bounds" lives here, implemented
 //! from scratch on top of `sketchtree-hash`:
 //!
-//! * [`ams`] — the single tug-of-war counter `X = Σ f_i ξ_i` of Alon,
-//!   Matias & Szegedy (paper Section 3), with insert/delete symmetry;
-//! * [`bank`] — [`bank::SketchBank`], the boosted `s1 × s2` array with
-//!   mean-of-s1 / median-of-s2 estimation (Theorem 1), set queries
-//!   (Theorem 2), self-join-size (F₂) estimation, and general
-//!   query-expression estimation with the `Xᵏ/k!·Πξ` construction of
-//!   Section 4 / Appendix C;
+//! * [`bank`] — [`bank::SketchBank`], the boosted `s1 × s2` array of
+//!   tug-of-war counters `X = Σ f_i ξ_i` (Alon, Matias & Szegedy; paper
+//!   Section 3) with insert/delete symmetry, the ξ sign rows every
+//!   estimator reads, and the mean-of-s1 / median-of-s2 boosting of
+//!   Theorem 1;
 //! * [`expr`] — the `+ − ×` query-expression AST and its expansion into
 //!   estimator terms;
 //! * [`plan`] — [`plan::QueryPlan`], a count, set or expression query
@@ -26,27 +24,20 @@
 //!   tracking and shared-seed sketch banks behind one insert/estimate API;
 //! * [`xislab`] — [`xislab::XiSlab`], the packed ξ-coefficient table every
 //!   bank of a synopsis shares (one allocation, fixed stride — the ingest
-//!   hot path's memory layout);
-//! * [`countsketch`] — the Count sketch of Charikar et al. as a comparator;
-//! * [`frequent`] — deterministic Misra–Gries and Space-Saving heavy-hitter
-//!   baselines for the ablation benchmarks.
+//!   hot path's memory layout).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 #![warn(clippy::all)]
 
-pub mod ams;
 pub mod bank;
-pub mod countsketch;
 pub mod expr;
-pub mod frequent;
 pub mod heap;
 pub mod plan;
 pub mod topk;
 pub mod virtual_streams;
 pub mod xislab;
 
-pub use ams::AmsSketch;
 pub use bank::{SketchBank, SketchView};
 pub use expr::{Expr, ExprError};
 pub use plan::QueryPlan;

@@ -326,7 +326,7 @@ impl StreamSynopsis {
 #[cfg(test)]
 pub(crate) mod oracle {
     use super::*;
-    use crate::bank;
+    use crate::bank::oracle::{effective_x, estimate_point_restored, term_value};
 
     /// The restore list for a set of query values within one bank.
     fn bank_restores(syn: &StreamSynopsis, b: usize, queries: &[u64]) -> Vec<(u64, i64)> {
@@ -338,7 +338,7 @@ pub(crate) mod oracle {
     pub(crate) fn count(syn: &StreamSynopsis, value: u64) -> f64 {
         let r = syn.route(value);
         let restore = bank_restores(syn, r, &[value]);
-        syn.partition(r).map_or(0.0, |(b, _)| b.estimate_point_restored(value, &restore))
+        syn.partition(r).map_or(0.0, |(b, _)| estimate_point_restored(b, value, &restore))
     }
 
     /// The total of distinct values (Theorem 2), combined across banks
@@ -353,7 +353,7 @@ pub(crate) mod oracle {
             let (bank, topk) = syn.partition(b).unwrap();
             let restore = topk.restore_list(&in_bank);
             bank.accumulate(&mut acc, |s| {
-                let x_eff = bank::effective_x(s, &restore);
+                let x_eff = effective_x(s, &restore);
                 let xi_sum: i64 = in_bank.iter().map(|&v| s.sign(v)).sum();
                 xi_sum as f64 * x_eff as f64
             });
@@ -373,7 +373,7 @@ pub(crate) mod oracle {
             .map(|b| {
                 let restore = bank_restores(syn, b, &queries);
                 let bank = syn.partition(b).unwrap().0;
-                (0..n).map(|idx| bank::effective_x(bank.sketch_at(idx), &restore)).collect()
+                (0..n).map(|idx| effective_x(bank.sketch_at(idx), &restore)).collect()
             })
             .collect();
         let term_banks: Vec<Vec<usize>> = terms
@@ -394,7 +394,7 @@ pub(crate) mod oracle {
                     .zip(&term_banks)
                     .map(|(t, banks)| {
                         let x: i64 = banks.iter().map(|&b| x_eff[b][idx]).sum();
-                        bank::term_value(sketch, t, x as f64)
+                        term_value(sketch, t, x as f64)
                     })
                     .sum()
             })

@@ -230,6 +230,7 @@ impl TopKTracker {
 #[cfg(test)]
 pub(crate) mod reference {
     use super::*;
+    use crate::bank::oracle::estimate_point;
 
     /// Algorithm 4: processes one stream value *after* the bank has been
     /// updated with its occurrence.
@@ -243,7 +244,7 @@ pub(crate) mod reference {
             bank.update(t, f_t);
         }
         // Line 8: estimate t's frequency from the (restored) sketches.
-        let est = bank.estimate_point(t).round() as i64;
+        let est = estimate_point(bank, t).round() as i64;
         // Lines 9–18: track t if it is positive and beats the current
         // minimum (or there is room).
         let admit = est > 0
@@ -301,6 +302,7 @@ pub(crate) mod reference {
 mod tests {
     use super::reference::{filter_insert, process, process_with_signs};
     use super::*;
+    use crate::bank::oracle::{estimate_point, estimate_point_restored, estimate_self_join};
 
     /// Feeds `freqs` one occurrence at a time, round-robin weighted, with
     /// top-k processing after every insertion — the Algorithm 1 + 4 loop.
@@ -349,10 +351,10 @@ mod tests {
         assert_eq!(topk.len(), 1);
         let (v, f) = topk.tracked_values()[0];
         assert_eq!(v, 1);
-        let raw = bank.estimate_point(v);
+        let raw = estimate_point(&bank, v);
         assert!(raw.abs() < 60.0, "deleted value still visible: {raw}");
         // Compensated estimate recovers the truth.
-        let est = bank.estimate_point_restored(v, &[(v, f)]);
+        let est = estimate_point_restored(&bank, v, &[(v, f)]);
         assert!((est - 600.0).abs() / 600.0 < 0.15, "est {est}");
     }
 
@@ -368,8 +370,8 @@ mod tests {
         let mut tracked_bank = SketchBank::new(77, 80, 7, 4);
         let mut topk = TopKTracker::new(2);
         run_stream(&mut tracked_bank, &mut topk, &freqs);
-        let sj_plain = plain.estimate_self_join();
-        let sj_tracked = tracked_bank.estimate_self_join();
+        let sj_plain = estimate_self_join(&plain);
+        let sj_tracked = estimate_self_join(&tracked_bank);
         assert!(
             sj_tracked < sj_plain / 10.0,
             "SJ not reduced: plain {sj_plain}, tracked {sj_tracked}"
@@ -398,7 +400,7 @@ mod tests {
         }
         assert!(topk.is_empty());
         // Stream untouched: estimate sees all 100.
-        let est = bank.estimate_point(9);
+        let est = estimate_point(&bank, 9);
         assert!((est - 100.0).abs() < 30.0, "est {est}");
     }
 
@@ -466,7 +468,7 @@ mod tests {
         let truth: Vec<(u64, f64)> =
             vec![(1, 500.0), (2, 400.0), (3, 210.0), (4, 60.0), (5, 8.0), (6, 3.0)];
         for &(v, t) in &truth {
-            let est = bank_a.estimate_point_restored(v, &topk_a.restore_list(&[v]));
+            let est = estimate_point_restored(&bank_a, v, &topk_a.restore_list(&[v]));
             assert!(
                 (est - t).abs() < t.mul_add(0.2, 40.0),
                 "value {v}: est {est} vs truth {t}"
@@ -520,7 +522,7 @@ mod tests {
         }
         assert_eq!(topk_a.tracked_values(), topk_b.tracked_values());
         for v in [1u64, 2, 3, 4, 5, 999] {
-            assert_eq!(bank_a.estimate_point(v), bank_b.estimate_point(v), "value {v}");
+            assert_eq!(estimate_point(&bank_a, v), estimate_point(&bank_b, v), "value {v}");
         }
     }
 

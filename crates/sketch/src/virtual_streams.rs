@@ -732,7 +732,7 @@ mod tests {
             let square = (i128::from(x) * i128::from(x)) as f64;
             for b in 0..2 {
                 let bank = syn.partition(b).unwrap().0;
-                assert_eq!(bank.estimate_self_join(), square, "bank {b} at {x}");
+                assert_eq!(crate::bank::oracle::estimate_self_join(bank), square, "bank {b} at {x}");
             }
             assert_eq!(syn.estimate_residual_self_join(), 2.0 * square, "residual at {x}");
             assert_eq!(syn.residual_self_join_group_means(), vec![2.0 * square; 3]);

@@ -165,7 +165,6 @@ fn sign_row<const K: usize, T>(
 mod tests {
     use super::*;
     use proptest::prelude::*;
-    use sketchtree_hash::Sign;
 
     /// The keys where reduction and the field's edges meet.
     const EDGE_KEYS: [u64; 5] = [0, 1, m61::P - 1, m61::P, u64::MAX];

@@ -82,6 +82,17 @@ cargo test --quiet -p sketchtree-sketch --lib -- \
     increment_sifts_down_and_saturates
 cargo test --quiet -p sketchtree-lint --test seeded_bugs l3_
 
+echo "==> estimator-theory (Eq. 1/2/6/7 and the product estimator on the production ξ row kernel)"
+# The paper's estimator moments (Equations 1, 2, 6 and 7, the AMS second
+# moment and the Appendix C product estimator), Monte-Carlo'd over the
+# families of one SketchBank with signs from signs_into, the row kernel
+# every insert and estimate runs.  The second test pins the production
+# point estimate (signs_into + estimate_point_with_signs_into) to the
+# Horner oracle of bank::oracle, bit for bit up to the sign of a zero,
+# over random streams at every independence degree from 4 to 64.
+cargo test --quiet -p sketchtree-sketch --test theory_checks
+cargo test --quiet -p sketchtree-sketch --lib production_point_estimate_matches_the_oracle
+
 echo "==> synopsis merge parity (shard-split vs sequential ingest)"
 # Merging shard synopses must be byte-identical to sequential ingest
 # with top-k off (and totals-preserving with it on), across random
