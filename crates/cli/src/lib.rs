@@ -511,7 +511,7 @@ fn wal_dump(args: &[String], out: &mut dyn Write) -> Result<(), CliError> {
         .map_err(|e| CliError::Failed(format!("{path}: {e}")))?;
     let mut trees_total: u64 = 0;
     for frame in &scan.frames {
-        match sketchtree_wal::decode_batch(&frame.batch) {
+        match sketchtree_server::wire::decode_ingest_trees(&frame.batch) {
             Ok((labels, trees)) => {
                 let nodes: usize = trees.iter().map(sketchtree_tree::Tree::len).sum();
                 trees_total += trees.len() as u64;
@@ -973,7 +973,7 @@ mod tests {
             sketchtree_tree::Label(0),
             vec![sketchtree_tree::Tree::leaf(sketchtree_tree::Label(1))],
         )];
-        let payload = sketchtree_wal::encode_batch(&labels, &trees).expect("encode");
+        let payload = sketchtree_server::wire::encode_ingest_trees(&labels, &trees).expect("encode");
         wal.append(&payload).expect("append");
         wal.append(&payload).expect("append");
         drop(wal);

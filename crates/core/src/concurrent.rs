@@ -50,14 +50,6 @@ impl SharedSketchTree {
         }
     }
 
-    /// Ingests one tree (exclusive lock for the whole ingest).
-    ///
-    /// The tree must have been built against this synopsis' label table —
-    /// use [`SharedSketchTree::with_labels`] to intern labels first.
-    pub fn ingest(&self, tree: &Tree) {
-        self.inner.write().ingest(tree);
-    }
-
     /// Ingests a batch of trees in lock windows of 64 trees.
     ///
     /// Per window, the expensive half of Algorithm 1 — pattern
@@ -70,7 +62,7 @@ impl SharedSketchTree {
     /// interleaves between windows instead of waiting out the whole batch.
     ///
     /// The resulting synopsis state is bit-identical to calling
-    /// [`SharedSketchTree::ingest`] on each tree in order (when no other
+    /// [`SketchTree::ingest`] on each tree in order (when no other
     /// writer interleaves).  After warm-up a batch allocates nothing.
     ///
     /// Returns `(trees, pattern instances)` added by this batch.
@@ -216,7 +208,7 @@ mod tests {
                 let tree = tree.clone();
                 std::thread::spawn(move || {
                     for _ in 0..100 {
-                        st.ingest(&tree);
+                        st.ingest_batch(std::slice::from_ref(&tree));
                         // Interleave reads; value is monotone noisy but must
                         // never error.
                         let _ = st.count_ordered("A(B)").expect("valid query");
@@ -241,13 +233,11 @@ mod tests {
     #[test]
     fn ingest_batch_matches_sequential_ingest() {
         let batched = shared();
-        let sequential = shared();
+        let mut per_tree = SketchTree::new(cfg());
         let (a, b, c) = batched.with_labels(|l| (l.intern("A"), l.intern("B"), l.intern("C")));
-        sequential.with_labels(|l| {
-            l.intern("A");
-            l.intern("B");
-            l.intern("C");
-        });
+        for name in ["A", "B", "C"] {
+            per_tree.labels_mut().intern(name);
+        }
         let trees: Vec<Tree> = (0..20)
             .map(|i| match i % 3 {
                 0 => Tree::node(a, vec![Tree::leaf(b), Tree::leaf(c)]),
@@ -257,8 +247,9 @@ mod tests {
             .collect();
         batched.ingest_batch(&trees);
         for t in &trees {
-            sequential.ingest(t);
+            per_tree.ingest(t);
         }
+        let sequential = SharedSketchTree::new(per_tree);
         assert_eq!(batched.trees_processed(), 20);
         assert_eq!(
             batched.patterns_processed(),
@@ -312,7 +303,7 @@ mod tests {
         st.with_labels(|l| l.intern("A"));
         assert_eq!(st.epoch(), 1);
         let tree = Tree::node(a, vec![Tree::leaf(b)]);
-        st.ingest(&tree);
+        st.ingest_batch(std::slice::from_ref(&tree));
         assert_eq!(st.epoch(), 2);
         st.ingest_batch(&[tree.clone(), tree.clone()]);
         let post_batch = st.epoch();
@@ -337,7 +328,7 @@ mod tests {
         let st = shared();
         let a = st.with_labels(|l| l.intern("A"));
         let clone = st.clone();
-        clone.ingest(&Tree::node(a, vec![Tree::leaf(a)]));
+        clone.ingest_batch(&[Tree::node(a, vec![Tree::leaf(a)])]);
         assert_eq!(st.trees_processed(), 1);
         assert_eq!(st.patterns_processed(), clone.patterns_processed());
     }

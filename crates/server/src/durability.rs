@@ -25,21 +25,24 @@
 //!    mismatch — the expected power-cut signature) are physically
 //!    truncated; the intact prefix survives.
 //! 4. **Replay the tail**: every frame with a sequence number past the
-//!    checkpoint's cursor is decoded and re-ingested through the same
-//!    intern-remap-ingest path the serving ingest uses, so the replayed
+//!    checkpoint's cursor holds an SKTP `IngestTrees` payload; it is
+//!    decoded with [`crate::wire::decode_ingest_trees`] and re-ingested
+//!    through the same intern-and-relabel step
+//!    (`intern_and_relabel`) the serving ingest uses, so the replayed
 //!    synopsis is bit-identical to one that ingested the batches live.
-//!    A CRC-valid frame that still fails batch decoding is treated like
-//!    a torn tail: it and everything after it are truncated, never a
-//!    startup error.
+//!    A CRC-valid frame that still fails decoding is treated like a torn
+//!    tail: it and everything after it are truncated, never a startup
+//!    error.  The server refuses any batch the decoder would refuse
+//!    before logging it, so an acked batch always decodes.
 //!
 //! See `DESIGN.md` §10 for the full guarantee table per fsync setting.
 
 use crate::metrics::ServerMetrics;
-use crate::server::remap_tree;
+use crate::wire::decode_ingest_trees;
 use sketchtree_core::sketchtree::{SketchTree, SketchTreeConfig};
 use sketchtree_core::snapshot::read_snapshot;
-use sketchtree_wal::{decode_batch, Wal};
-use sketchtree_tree::{Label, Tree};
+use sketchtree_tree::{Label, LabelTable, Tree};
+use sketchtree_wal::Wal;
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -176,9 +179,15 @@ pub fn recover(
                     // such frames behind — they must not double-count).
                     continue;
                 }
-                match decode_batch(&frame.batch) {
-                    Ok((labels, trees)) => {
-                        replay_batch(&mut st, &labels, &trees);
+                match decode_ingest_trees(&frame.batch) {
+                    Ok((labels, mut trees)) => {
+                        // Intern and relabel exactly as the serving path
+                        // does, then ingest tree by tree: bit-identical to
+                        // its `ingest_batch` by the batch-parity invariant.
+                        intern_and_relabel(st.labels_mut(), &labels, &mut trees);
+                        for tree in &trees {
+                            st.ingest(tree);
+                        }
                         st.set_wal_seq(frame.seq);
                         metrics.wal_replayed.inc();
                         report.replayed_batches += 1;
@@ -212,17 +221,15 @@ pub fn recover(
     Ok((st, wal, report))
 }
 
-/// Re-ingests one logged batch exactly as the serving path would have:
-/// intern the batch-local names into the synopsis' table in batch order,
-/// remap each tree positionally, ingest tree by tree.  Bit-identical to
-/// the live `ingest_batch` path by the workspace's batch-parity
-/// invariant.
-fn replay_batch(st: &mut SketchTree, labels: &[String], trees: &[Tree]) {
-    let map: Vec<Label> = {
-        let table = st.labels_mut();
-        labels.iter().map(|name| table.intern(name)).collect()
-    };
+/// The intern-and-relabel step shared by live ingest and WAL replay:
+/// interns a batch's label names into `table` in batch order, then
+/// rewrites each tree's batch-local label indices to the interned labels
+/// in place.  Indices are positional (duplicate names are legal on the
+/// wire), so the map is built per index, not through a deduping table.
+pub(crate) fn intern_and_relabel(table: &mut LabelTable, labels: &[&str], trees: &mut [Tree]) {
+    let map: Vec<Label> = labels.iter().map(|name| table.intern(name)).collect();
     for tree in trees {
-        st.ingest(&remap_tree(tree, &map));
+        // lint:allow(L1, reason = "a decoded or parsed batch's labels all index its own label table, which `map` mirrors entry for entry")
+        tree.relabel(|l| map[l.0 as usize]);
     }
 }

@@ -178,7 +178,7 @@ mod tests {
         let metrics = ServerMetrics::new();
         let shared = SharedSketchTree::new(SketchTree::new(SketchTreeConfig::default()));
         let a = shared.with_labels(|l| l.intern("A"));
-        shared.ingest(&sketchtree_tree::Tree::node(a, vec![sketchtree_tree::Tree::leaf(a)]));
+        shared.ingest_batch(&[sketchtree_tree::Tree::node(a, vec![sketchtree_tree::Tree::leaf(a)])]);
         let mut http = MetricsHttp::start(
             "127.0.0.1:0".parse().expect("addr"),
             metrics.clone(),

@@ -498,7 +498,7 @@ mod tests {
         let a = shared.with_labels(|l| l.intern("A"));
         let t = sketchtree_tree::Tree::node(a, vec![sketchtree_tree::Tree::leaf(a)]);
         for _ in 0..10 {
-            shared.ingest(&t);
+            shared.ingest_batch(std::slice::from_ref(&t));
         }
         m.refresh_health(&shared);
         let text = m.render(false);

@@ -11,11 +11,12 @@
 //! - Ingest follows the concurrency contract of
 //!   [`SharedSketchTree`]:
 //!   XML parsing happens against a connection-local label table with *no*
-//!   lock held, label interning takes one short exclusive lock, and the
-//!   sketch updates go through `ingest_batch` (enumeration under the
-//!   shared lock, insertion under one exclusive lock per bounded window —
-//!   so checkpoints and queries interleave with large batches).  Queries only ever take the shared lock, so queries
-//!   never block queries.
+//!   lock held, label interning and the in-place relabel of the batch's
+//!   trees take one short exclusive lock, and the sketch updates go
+//!   through `ingest_batch` (enumeration under the shared lock, insertion
+//!   under one exclusive lock per bounded window — so checkpoints and
+//!   queries interleave with large batches).  Queries only ever take the
+//!   shared lock, so queries never block queries.
 //! - An optional **checkpoint thread** persists the synopsis through the
 //!   snapshot layer at a fixed interval; checkpoints are atomic *and
 //!   durable* (temp file + `sync_all` + rename + parent-dir fsync).  The
@@ -32,15 +33,16 @@ use crate::http::MetricsHttp;
 use crate::metrics::{ConnectionGuard, ServerMetrics};
 use crate::subs::{EpochUpdates, Subscriptions};
 use crate::wire::{
-    decode_ingest_trees, read_frame_patient, Frame, Request, Response, Stats,
-    SubscribeMode, WireError, DEFAULT_MAX_FRAME, HEADER_LEN, INGEST_TREES_KIND,
+    check_ingest_trees, decode_ingest_trees, encode_ingest_trees, read_frame_patient, Frame,
+    Request, Response, Stats, SubscribeMode, WireError, DEFAULT_MAX_FRAME, HEADER_LEN,
+    INGEST_TREES_KIND,
 };
 use sketchtree_core::concurrent::SharedSketchTree;
 use sketchtree_core::sketchtree::SketchTreeConfig;
 use sketchtree_core::snapshot::{read_snapshot, write_snapshot};
 use sketchtree_wal::Wal;
 use sketchtree_standing::{QueryCache, QueryMode, QuerySpec};
-use sketchtree_tree::{Label, LabelTable, NodeId, Tree, TreeBuilder};
+use sketchtree_tree::{LabelTable, Tree};
 use sketchtree_xml::XmlTreeBuilder;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -473,11 +475,12 @@ fn serve_connection(stream: TcpStream, ctx: &Ctx) {
                 // The ingest hot path decodes zero-copy: label names stay
                 // borrowed from the read buffer all the way into the
                 // global intern call, skipping one `String` allocation per
-                // label per batch.  Every other kind takes the owned
-                // `Request` route.
+                // label per batch, and the write-ahead log appends the
+                // received payload unchanged.  Every other kind takes the
+                // owned `Request` route.
                 let resp = if kind == INGEST_TREES_KIND {
                     match decode_ingest_trees(&payload) {
-                        Ok((labels, trees)) => ingest_batch_request(ctx, &labels, &trees),
+                        Ok((labels, trees)) => handle_ingest(ctx, &labels, trees, Some(&payload)),
                         Err(e) => Response::Error(format!("bad request: {e}")),
                     }
                 } else {
@@ -601,12 +604,15 @@ fn handle_request(req: Request, ctx: &Ctx) -> Response {
     match req {
         Request::Ping => Response::Pong,
         Request::IngestXml(docs) => match parse_documents(&docs) {
-            Ok((local, trees)) => ingest_parsed(ctx, &local, trees),
+            Ok((local, trees)) => {
+                let names: Vec<&str> = local.iter().map(|(_, name)| name).collect();
+                handle_ingest(ctx, &names, trees, None)
+            }
             Err(e) => Response::Error(e),
         },
         Request::IngestTrees { labels, trees } => {
             let labels: Vec<&str> = labels.iter().map(String::as_str).collect();
-            ingest_batch_request(ctx, &labels, &trees)
+            handle_ingest(ctx, &labels, trees, None)
         }
         Request::Count { unordered, pattern } => {
             let mode = if unordered { QueryMode::Unordered } else { QueryMode::Ordered };
@@ -666,10 +672,10 @@ fn handle_request(req: Request, ctx: &Ctx) -> Response {
                     Ok(()) => {
                         ctx.metrics.merges.inc();
                         ctx.metrics.merge_bytes.add(bytes.len() as u64);
-                        Response::MergeDone {
-                            total_trees: ctx.shared.trees_processed(),
-                            total_patterns: ctx.shared.patterns_processed(),
-                        }
+                        let (total_trees, total_patterns) = ctx
+                            .shared
+                            .read(|st| (st.trees_processed(), st.patterns_processed()));
+                        Response::MergeDone { total_trees, total_patterns }
                     }
                     Err(e) => Response::Error(format!("merge: {e}")),
                 },
@@ -738,108 +744,84 @@ fn parse_documents(docs: &[String]) -> Result<(LabelTable, Vec<Tree>), String> {
     Ok((local, trees))
 }
 
-/// Interns the batch's labels into the shared table (one short exclusive
-/// lock), remaps the trees lock-free, then ingests the whole batch.
-/// With a WAL configured, the batch detours through the log-before-ack
-/// path, carrying the connection-local label names so replay re-interns
-/// them in the same order.
-fn ingest_parsed(ctx: &Ctx, local: &LabelTable, trees: Vec<Tree>) -> Response {
-    if ctx.wal.is_some() {
-        let names: Vec<&str> = (0..local.len() as u32).map(|i| local.name(Label(i))).collect();
-        return ingest_batch_request(ctx, &names, &trees);
-    }
-    let map: Vec<Label> = ctx.shared.with_labels(|global| {
-        (0..local.len() as u32)
-            .map(|i| global.intern(local.name(Label(i))))
-            .collect()
-    });
-    ingest_remapped(ctx, &map, &trees)
-}
-
-/// Ingest entry point for a batch expressed as (batch-local label names,
-/// trees indexing them positionally) — the `IngestTrees` wire shape.
+/// The server's one ingest path, for `IngestTrees` and `IngestXml` alike,
+/// with the write-ahead log on or off.  Node labels index `labels`
+/// *positionally* (duplicate names are legal on the wire); `received` is
+/// the `IngestTrees` payload the batch was decoded from, when it came
+/// that way.
 ///
-/// Node labels index `labels` *positionally*, and duplicate names are
-/// legal on the wire — so the intern map must be built per index, not
-/// through a deduping `LabelTable` (which would shift every index after
-/// a duplicate).
-fn ingest_batch_request(ctx: &Ctx, labels: &[&str], trees: &[Tree]) -> Response {
-    if let Some(wal) = &ctx.wal {
-        return ingest_through_wal(ctx, wal, labels, trees);
-    }
-    let map: Vec<Label> = ctx
-        .shared
-        .with_labels(|global| labels.iter().map(|name| global.intern(name)).collect());
-    ingest_remapped(ctx, &map, trees)
-}
-
-/// Log-before-ack: append the batch to the WAL (group-commit fsync per
-/// config), then apply it, then advance the durability cursor — all
-/// under the WAL commit lock, so the ack order equals the log order and
-/// a checkpoint can never capture half a batch.  If the append fails the
-/// batch is *not* applied and the client gets an error: an unlogged
-/// batch must never be acked.
-fn ingest_through_wal(ctx: &Ctx, wal: &Mutex<Wal>, labels: &[&str], trees: &[Tree]) -> Response {
-    let payload = match sketchtree_wal::encode_batch(labels, trees) {
-        Ok(p) => p,
-        Err(e) => return Response::Error(format!("wal encode: {e}")),
+/// With a log, the batch is appended first — the received payload as
+/// is, or else its `IngestTrees` encoding — and the WAL mutex, which is
+/// the commit lock, stays held through apply and `set_wal_seq`, so the
+/// ack order equals the log order and a checkpoint never captures half a
+/// batch.  If the append fails the batch is *not* applied and the client
+/// gets an error: an unlogged batch must never be acked.  Then the
+/// labels are interned under one `with_labels`, the trees relabeled in
+/// place and the batch ingested.
+fn handle_ingest(ctx: &Ctx, labels: &[&str], mut trees: Vec<Tree>, received: Option<&[u8]>) -> Response {
+    // Recovery decodes every logged frame with the wire decoder, so a
+    // batch that did not arrive as `IngestTrees` (an XML batch can hold
+    // more than 2^20 distinct labels) must fit that payload's caps, or
+    // replay would refuse it and truncate acked data.  Checked with the
+    // log on or off, so both refuse the same batches.
+    let encoded;
+    let payload: &[u8] = match received {
+        Some(payload) => payload,
+        None => {
+            let checked = match ctx.wal {
+                Some(_) => encode_ingest_trees(labels, &trees),
+                None => check_ingest_trees(labels.len(), &trees).map(|()| Vec::new()),
+            };
+            match checked {
+                Ok(bytes) => {
+                    encoded = bytes;
+                    &encoded
+                }
+                Err(e) => {
+                    return Response::Error(format!(
+                        "bad request: {e}: a batch holds at most 2^20 labels, 2^20 trees and 2^24 nodes per tree"
+                    ))
+                }
+            }
+        }
     };
-    let mut guard = wal.lock().unwrap_or_else(|e| e.into_inner());
-    let started = Instant::now();
-    // lint:allow(L7, reason = "log-before-ack by design: the WAL mutex is the commit lock, and the append must complete under it so acks follow durable log order; queries never touch this lock")
-    let appended = match guard.append(&payload) {
-        Ok(a) => a,
-        Err(e) => return Response::Error(format!("wal append: {e}")),
-    };
-    ctx.metrics.wal_appends.inc();
-    ctx.metrics.wal_bytes.add(appended.bytes);
-    if appended.synced {
-        ctx.metrics.wal_fsyncs.inc();
-        ctx.metrics.wal_fsync_seconds.observe_duration(started.elapsed());
+    let mut wal_guard = ctx.wal.as_ref().map(|wal| wal.lock().unwrap_or_else(|e| e.into_inner()));
+    let mut seq = None;
+    if let Some(wal) = wal_guard.as_deref_mut() {
+        let started = Instant::now();
+        // lint:allow(L7, reason = "log-before-ack by design: the WAL mutex is the commit lock, and the append must complete under it so acks follow durable log order; queries never touch this lock")
+        let appended = match wal.append(payload) {
+            Ok(a) => a,
+            Err(e) => return Response::Error(format!("wal append: {e}")),
+        };
+        ctx.metrics.wal_appends.inc();
+        ctx.metrics.wal_bytes.add(appended.bytes);
+        if appended.synced {
+            ctx.metrics.wal_fsyncs.inc();
+            ctx.metrics.wal_fsync_seconds.observe_duration(started.elapsed());
+        }
+        ctx.metrics.wal_size.set(wal.size_bytes() as f64);
+        seq = Some(appended.seq);
     }
-    ctx.metrics.wal_size.set(guard.size_bytes() as f64);
-    let map: Vec<Label> = ctx
-        .shared
-        .with_labels(|global| labels.iter().map(|name| global.intern(name)).collect());
-    let resp = ingest_remapped(ctx, &map, trees);
-    // Only now is the batch both logged and fully applied; a checkpoint
-    // taken before this line replays the frame, one after skips it.
-    ctx.shared.set_wal_seq(appended.seq);
-    resp
-}
-
-/// Remaps every tree's labels through `map` (batch index → global label),
-/// then ingests the whole batch.
-fn ingest_remapped(ctx: &Ctx, map: &[Label], trees: &[Tree]) -> Response {
-    let remapped: Vec<Tree> = trees.iter().map(|t| remap_tree(t, map)).collect();
-    let (batch_trees, batch_patterns) = ctx.shared.ingest_batch(&remapped);
+    ctx.shared.with_labels(|global| durability::intern_and_relabel(global, labels, &mut trees));
+    let (batch_trees, batch_patterns) = ctx.shared.ingest_batch(&trees);
+    if let Some(seq) = seq {
+        // Only now is the batch both logged and fully applied; a
+        // checkpoint taken before this line replays the frame, one after
+        // skips it.
+        ctx.shared.set_wal_seq(seq);
+    }
+    // Both totals from one state, so a concurrent batch cannot land
+    // between the two reads.
+    let (total_trees, total_patterns) =
+        ctx.shared.read(|st| (st.trees_processed(), st.patterns_processed()));
+    drop(wal_guard);
     Response::Ingested {
         trees: batch_trees,
         patterns: batch_patterns,
-        total_trees: ctx.shared.trees_processed(),
-        total_patterns: ctx.shared.patterns_processed(),
+        total_trees,
+        total_patterns,
     }
-}
-
-/// Rebuilds `tree` with every label translated through `map`.  Shared
-/// with [`crate::durability`] so WAL replay remaps exactly as the
-/// serving path does.
-pub(crate) fn remap_tree(tree: &Tree, map: &[Label]) -> Tree {
-    fn go(tree: &Tree, id: NodeId, map: &[Label], b: &mut TreeBuilder) {
-        // lint:allow(L1, reason = "map has one entry per local label and tree was parsed against that same local table")
-        b.open(map[tree.label(id).0 as usize])
-            // lint:allow(L1, reason = "a preorder walk opens before it closes, so nesting is always valid")
-            .expect("preorder rebuild cannot misnest");
-        for &child in tree.children(id) {
-            go(tree, child, map, b);
-        }
-        // lint:allow(L1, reason = "close() pairs with the open() above in the same call")
-        b.close().expect("preorder rebuild cannot misnest");
-    }
-    let mut b = TreeBuilder::new();
-    go(tree, tree.root(), map, &mut b);
-    // lint:allow(L1, reason = "the recursion closes every node it opens, so the builder is complete")
-    b.finish().expect("rebuilt tree is complete")
 }
 
 /// Atomic, durable checkpoint: snapshot under the shared lock, write +

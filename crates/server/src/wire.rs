@@ -570,16 +570,7 @@ impl Request {
                     w.str(d);
                 }
             }
-            Request::IngestTrees { labels, trees } => {
-                w.len(labels.len());
-                for l in labels {
-                    w.str(l);
-                }
-                w.len(trees.len());
-                for t in trees {
-                    encode_tree(&mut w, t);
-                }
-            }
+            Request::IngestTrees { labels, trees } => write_ingest_trees(&mut w, labels, trees),
             Request::Count { unordered, pattern } => {
                 w.u8(u8::from(*unordered));
                 w.str(pattern);
@@ -847,6 +838,48 @@ impl Response {
 /// loop can route the hot ingest frame through [`decode_ingest_trees`]
 /// without building an owned [`Request`].
 pub const INGEST_TREES_KIND: u8 = K_INGEST_TREES;
+
+/// Checks that a batch of `label_count` batch-local labels and `trees`
+/// stays within the caps [`decode_ingest_trees`] enforces — 2^20 labels,
+/// 2^20 trees, 2^24 nodes per tree — so its `IngestTrees` payload decodes
+/// again.  The error names the field exactly as the decoder would.
+pub(crate) fn check_ingest_trees(label_count: usize, trees: &[Tree]) -> Result<(), WireError> {
+    let fits = |n: usize, max: u32| u32::try_from(n).is_ok_and(|n| n <= max);
+    if !fits(label_count, MAX_LABELS) {
+        return Err(WireError::Corrupt("label count"));
+    }
+    if !fits(trees.len(), MAX_TREES) {
+        return Err(WireError::Corrupt("tree count"));
+    }
+    if !trees.iter().all(|t| fits(t.len(), MAX_NODES)) {
+        return Err(WireError::Corrupt("node count"));
+    }
+    Ok(())
+}
+
+/// Encodes an `IngestTrees` payload from borrowed label names: the same
+/// bytes [`Request::encode`] writes for [`Request::IngestTrees`].  Refuses
+/// a batch past the decoder's caps (2^20 labels, 2^20 trees, 2^24 nodes
+/// per tree), so every payload it returns decodes with
+/// [`decode_ingest_trees`].
+pub fn encode_ingest_trees<S: AsRef<str>>(labels: &[S], trees: &[Tree]) -> Result<Vec<u8>, WireError> {
+    check_ingest_trees(labels.len(), trees)?;
+    let mut w = Writer(Vec::new());
+    write_ingest_trees(&mut w, labels, trees);
+    Ok(w.0)
+}
+
+/// The one `IngestTrees` payload writer: the label table, then the trees.
+fn write_ingest_trees<S: AsRef<str>>(w: &mut Writer, labels: &[S], trees: &[Tree]) {
+    w.len(labels.len());
+    for l in labels {
+        w.str(l.as_ref());
+    }
+    w.len(trees.len());
+    for t in trees {
+        encode_tree(w, t);
+    }
+}
 
 /// Zero-copy decode of an `IngestTrees` payload: label names are borrowed
 /// straight out of `payload` (no per-label `String` allocation), trees are
@@ -1325,6 +1358,78 @@ mod tests {
             Err(WireError::Corrupt("invalid utf-8 string"))
         ));
         assert_eq!(INGEST_TREES_KIND, req.kind());
+    }
+
+    #[test]
+    fn ingest_trees_payload_roundtrips_shapes() {
+        // Nested and repeated labels, an empty label name, a single-node
+        // tree: the borrowed-label encoder writes the bytes
+        // `Request::encode` writes, and the decoder returns the batch.
+        let labels = ["article", "title", "author", ""];
+        let leaf = |l: u32| Tree::leaf(Label(l));
+        let trees = vec![
+            Tree::node(
+                Label(0),
+                vec![leaf(1), Tree::node(Label(2), vec![leaf(3), leaf(1)]), leaf(2)],
+            ),
+            leaf(3),
+        ];
+        let payload = encode_ingest_trees(&labels, &trees).unwrap();
+        let req = Request::IngestTrees {
+            labels: labels.iter().map(|l| l.to_string()).collect(),
+            trees: trees.clone(),
+        };
+        assert_eq!(payload, req.encode());
+        let (got_labels, got_trees) = decode_ingest_trees(&payload).unwrap();
+        assert_eq!(got_labels, labels);
+        assert_eq!(got_trees, trees);
+        for (a, b) in trees.iter().zip(&got_trees) {
+            assert_eq!(a.to_sexpr(), b.to_sexpr());
+        }
+    }
+
+    #[test]
+    fn ingest_trees_payload_rejects_malformed_input() {
+        let labels = ["a", "b", "c", "d"];
+        let trees = vec![Tree::node(Label(0), vec![Tree::leaf(Label(3))]), Tree::leaf(Label(1))];
+        let good = encode_ingest_trees(&labels, &trees).unwrap();
+        assert!(decode_ingest_trees(&good).is_ok());
+        for cut in 0..good.len() {
+            assert!(decode_ingest_trees(&good[..cut]).is_err(), "cut at {cut}");
+        }
+        // The encoder does not look at label indices; the decoder refuses
+        // one outside the batch table.
+        let bad = encode_ingest_trees(&["a"], &[Tree::leaf(Label(5))]).unwrap();
+        assert!(matches!(
+            decode_ingest_trees(&bad),
+            Err(WireError::Corrupt("label index out of range"))
+        ));
+        // A hostile count is refused before anything is allocated.
+        assert!(matches!(
+            decode_ingest_trees(&u32::MAX.to_le_bytes()),
+            Err(WireError::Corrupt("label count"))
+        ));
+    }
+
+    #[test]
+    fn the_ingest_caps_refuse_what_the_decoder_refuses() {
+        let one = [Tree::leaf(Label(0))];
+        assert!(check_ingest_trees(widen(MAX_LABELS), &one).is_ok());
+        assert!(matches!(
+            check_ingest_trees(widen(MAX_LABELS) + 1, &one),
+            Err(WireError::Corrupt("label count"))
+        ));
+        // The decoder refuses the same count from the payload's prefix.
+        let mut w = Writer(Vec::new());
+        w.u32(MAX_LABELS + 1);
+        assert!(matches!(
+            decode_ingest_trees(&w.0),
+            Err(WireError::Corrupt("label count"))
+        ));
+        assert!(matches!(
+            encode_ingest_trees(&vec![""; widen(MAX_LABELS) + 1], &one),
+            Err(WireError::Corrupt("label count"))
+        ));
     }
 
     #[test]

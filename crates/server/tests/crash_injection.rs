@@ -13,7 +13,11 @@ use proptest::prelude::*;
 use sketchtree_core::sketchtree::{SketchTree, SketchTreeConfig};
 use sketchtree_core::snapshot::write_snapshot;
 use sketchtree_server::durability::{recover, WalConfig};
-use sketchtree_server::{Server, ServerConfig, ServerMetrics};
+use sketchtree_server::wire::{
+    decode_ingest_trees, encode_ingest_trees, read_frame, write_frame, Frame, Request, Response,
+    DEFAULT_MAX_FRAME,
+};
+use sketchtree_server::{Client, Server, ServerConfig, ServerMetrics};
 use sketchtree_sketch::SynopsisConfig;
 use sketchtree_tree::{Label, Tree, TreeBuilder};
 use std::path::{Path, PathBuf};
@@ -70,8 +74,9 @@ fn batches() -> Vec<(Vec<String>, Vec<Tree>)> {
         .collect()
 }
 
-/// Rebuilds `tree` with labels translated through `map` — the test-side
-/// twin of the server's remap, used to build reference synopses.
+/// Rebuilds `tree` with labels translated through `map` — a preorder
+/// rebuild, independent of the server's in-place relabel, used to build
+/// reference synopses.
 fn remap(tree: &Tree, map: &[Label]) -> Tree {
     fn go(tree: &Tree, id: sketchtree_tree::NodeId, map: &[Label], b: &mut TreeBuilder) {
         b.open(map[tree.label(id).0 as usize]).expect("valid nesting");
@@ -140,7 +145,8 @@ proptest! {
         wal.bump_seq_past(ckpt_after as u64);
         let mut ends = vec![sketchtree_wal::HEADER_LEN];
         for (labels, trees) in &all[ckpt_after..] {
-            let payload = sketchtree_wal::encode_batch(labels, trees).expect("encode");
+            let payload =
+                sketchtree_server::wire::encode_ingest_trees(labels, trees).expect("encode");
             wal.append(&payload).expect("append");
             ends.push(wal.size_bytes());
         }
@@ -468,4 +474,175 @@ fn group_commit_batches_fsyncs() {
     assert_eq!(server2.shared().read(write_snapshot), before);
     server2.abort();
     cleanup(&dir);
+}
+
+/// A two-frame write-ahead log written by the WAL crate's former batch
+/// codec (`encode_batch` + `Wal::append`): nested shapes with an empty
+/// label name, then a batch table that repeats a name.
+const LEGACY_WAL_HEX: &str = concat!(
+    "534b574c0100000072000000ff07999501000000000000000400000007000000",
+    "61727469636c65050000007469746c6506000000617574686f72000000000200",
+    "0000060000000000000003000000010000000000000002000000020000000300",
+    "0000000000000100000000000000020000000000000001000000030000000000",
+    "0000430000008b73b60502000000000000000300000001000000620100000061",
+    "0100000062010000000400000001000000020000000200000000000000000000",
+    "00010000000100000000000000",
+);
+
+/// The batches [`LEGACY_WAL_HEX`] holds, in frame order.
+fn legacy_batches() -> Vec<(Vec<String>, Vec<Tree>)> {
+    let leaf = |l: u32| Tree::leaf(Label(l));
+    let names = |n: &[&str]| n.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+    vec![
+        (
+            names(&["article", "title", "author", ""]),
+            vec![
+                Tree::node(
+                    Label(0),
+                    vec![leaf(1), Tree::node(Label(2), vec![leaf(3), leaf(1)]), leaf(2)],
+                ),
+                leaf(3),
+            ],
+        ),
+        (
+            names(&["b", "a", "b"]),
+            vec![Tree::node(Label(1), vec![leaf(2), Tree::node(Label(0), vec![leaf(1)])])],
+        ),
+    ]
+}
+
+/// A log written before the WAL stored opaque payloads still recovers:
+/// the wire decoder reads each frame, the wire encoder writes the same
+/// bytes back, and replay is byte-identical to ingesting the batches.
+#[test]
+fn a_wal_from_the_former_batch_codec_decodes_and_replays_byte_identically() {
+    let bytes: Vec<u8> = (0..LEGACY_WAL_HEX.len())
+        .step_by(2)
+        .map(|i| u8::from_str_radix(&LEGACY_WAL_HEX[i..i + 2], 16).expect("hex"))
+        .collect();
+    let dir = scratch("legacy");
+    let wal_path = dir.join("legacy.wal");
+    std::fs::write(&wal_path, &bytes).expect("write fixture");
+
+    let scan = sketchtree_wal::scan(&wal_path).expect("scan");
+    assert!(scan.torn.is_none());
+    let want = legacy_batches();
+    assert_eq!(scan.frames.len(), want.len());
+    for (frame, (labels, trees)) in scan.frames.iter().zip(&want) {
+        let (got_labels, got_trees) = decode_ingest_trees(&frame.batch).expect("decodes");
+        assert_eq!(&got_labels, labels);
+        assert_eq!(&got_trees, trees);
+        assert_eq!(encode_ingest_trees(labels, trees).expect("encodes"), frame.batch);
+    }
+
+    let metrics = ServerMetrics::new();
+    let (st, wal, report) =
+        recover(None, Some(&WalConfig::new(&wal_path)), &config(19), &metrics).expect("recover");
+    assert_eq!(report.replayed_batches, 2);
+    assert!(!report.torn_tail);
+    let mut expect = SketchTree::new(config(19));
+    for (labels, trees) in &want {
+        apply(&mut expect, labels, trees);
+    }
+    expect.set_wal_seq(2);
+    assert_eq!(write_snapshot(&st), write_snapshot(&expect));
+    drop(wal);
+    assert_eq!(std::fs::read(&wal_path).expect("read"), bytes, "an intact log is left as it was");
+    cleanup(&dir);
+}
+
+/// With the log on, an `IngestTrees` frame's payload is appended exactly
+/// as received, and an `IngestXml` batch is appended as the
+/// `IngestTrees` payload of its parsed trees.
+#[test]
+fn the_logged_frame_is_the_ingest_trees_payload_as_received() {
+    let dir = scratch("as-received");
+    let wal_path = dir.join("state.wal");
+    let cfg = ServerConfig {
+        wal: Some(WalConfig::new(wal_path.clone())),
+        sketch: config(29),
+        ..ServerConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", cfg).expect("server starts");
+    let mut client = Client::connect(server.addr()).expect("client connects");
+    // A repeated name: indices are positional, and the log keeps them so.
+    let labels = vec!["x".to_string(), "y".to_string(), "x".to_string()];
+    let trees = vec![Tree::node(Label(2), vec![Tree::leaf(Label(1)), Tree::leaf(Label(0))])];
+    let sent = Request::IngestTrees { labels: labels.clone(), trees: trees.clone() }.encode();
+    client.ingest_trees(labels, trees).expect("acked");
+    client.ingest_xml(&["<a><b>t</b><b/></a>".to_string()]).expect("acked");
+    drop(client);
+    server.abort();
+
+    let scan = sketchtree_wal::scan(&wal_path).expect("scan");
+    assert_eq!(scan.frames.len(), 2);
+    assert_eq!(scan.frames[0].batch, sent);
+    let parsed = Tree::node(
+        Label(0),
+        vec![Tree::node(Label(1), vec![Tree::leaf(Label(2))]), Tree::leaf(Label(1))],
+    );
+    assert_eq!(
+        scan.frames[1].batch,
+        encode_ingest_trees(&["a", "b", "t"], &[parsed]).expect("encodes")
+    );
+    cleanup(&dir);
+}
+
+/// An `IngestXml` batch with more distinct labels than an `IngestTrees`
+/// payload may carry (2^20) is refused with an error before it is logged
+/// or applied, with the log on and off alike: recovery decodes frames with
+/// the wire decoder, which would refuse it and truncate the log there.
+#[test]
+fn an_over_cap_xml_batch_is_refused_and_leaves_no_trace() {
+    // 2^16 documents of 16 distinct values each: the 2^20 values plus `a`
+    // and `b` are two labels past the cap, in a frame of about 19 MiB (the
+    // frame cap is 32 MiB).  The payload is written directly, as
+    // `IngestXml` lays it out, rather than through a `Vec<String>`.
+    let docs = 1u32 << 16;
+    let mut over_cap = docs.to_le_bytes().to_vec();
+    for d in 0..docs {
+        let values: String = (0..16).map(|v| format!("<b>{}</b>", d * 16 + v)).collect();
+        let doc = format!("<a>{values}</a>");
+        over_cap.extend_from_slice(&(doc.len() as u32).to_le_bytes());
+        over_cap.extend_from_slice(doc.as_bytes());
+    }
+    let small = vec!["<a><b>1</b></a>".to_string()];
+    for logged in [false, true] {
+        let dir = scratch("over-cap");
+        let wal_path = dir.join("state.wal");
+        let cfg = ServerConfig {
+            wal: logged.then(|| WalConfig::new(wal_path.clone())),
+            sketch: config(23),
+            ..ServerConfig::default()
+        };
+        let server = Server::start("127.0.0.1:0", cfg.clone()).expect("server starts");
+        let mut client = Client::connect(server.addr()).expect("client connects");
+        client.ingest_xml(&small).expect("acked");
+        let before = server.shared().read(write_snapshot);
+        let wal_len = || std::fs::metadata(&wal_path).map(|m| m.len()).ok();
+        let wal_before = wal_len();
+        let mut raw = std::net::TcpStream::connect(server.addr()).expect("connect");
+        write_frame(&mut raw, Request::IngestXml(Vec::new()).kind(), &over_cap).expect("send");
+        match read_frame(&mut raw, DEFAULT_MAX_FRAME).expect("reply") {
+            Frame::Msg { kind, payload } => match Response::decode(kind, &payload) {
+                Ok(Response::Error(msg)) => assert!(msg.contains("label count"), "{msg}"),
+                other => panic!("wal {logged}: expected a refusal, got {other:?}"),
+            },
+            other => panic!("wal {logged}: expected a reply, got {other:?}"),
+        }
+        drop(raw);
+        assert_eq!(server.shared().read(write_snapshot), before, "wal {logged}");
+        assert_eq!(wal_len(), wal_before, "wal {logged}: nothing appended");
+        // The connection and the server keep serving.
+        client.ingest_xml(&small).expect("acked after the refusal");
+        let after = server.shared().read(write_snapshot);
+        drop(client);
+        server.abort();
+        if logged {
+            let restarted = Server::start("127.0.0.1:0", cfg).expect("restart");
+            assert_eq!(restarted.shared().read(write_snapshot), after);
+            restarted.abort();
+        }
+        cleanup(&dir);
+    }
 }

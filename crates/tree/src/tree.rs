@@ -135,6 +135,15 @@ impl Tree {
         self.nodes[id.index()].label
     }
 
+    /// Rewrites every node's label through `map` in place, keeping the
+    /// shape and the arena layout — how a tree decoded against
+    /// batch-local label indices moves onto a synopsis' global labels.
+    pub fn relabel(&mut self, mut map: impl FnMut(Label) -> Label) {
+        for node in &mut self.nodes {
+            node.label = map(node.label);
+        }
+    }
+
     /// The parent of a node (`None` for the root).
     #[inline]
     pub fn parent(&self, id: NodeId) -> Option<NodeId> {
@@ -463,6 +472,16 @@ mod tests {
         assert_eq!(t.label(kids[0]), b);
         assert_eq!(t.label(kids[1]), c);
         assert_eq!(t.to_sexpr(), "#0(#1,#2)");
+    }
+
+    #[test]
+    fn relabel_maps_every_node_and_keeps_the_shape() {
+        let (_, a, b, c) = labels3();
+        let mut t = Tree::node(a, vec![Tree::node(b, vec![Tree::leaf(a)]), Tree::leaf(c)]);
+        let before = t.preorder();
+        t.relabel(|l| Label(2 - l.0));
+        assert_eq!(t.to_sexpr(), "#2(#1(#2),#0)");
+        assert_eq!(t.preorder(), before, "arena layout unchanged");
     }
 
     #[test]

@@ -7,6 +7,12 @@
 //! an append-only, fsync'd log the server writes *before* acking a
 //! batch, so a restart can replay everything past the last checkpoint.
 //!
+//! The log stores opaque byte payloads: it frames, checksums, orders and
+//! syncs them, and never looks inside.  The server logs each batch as an
+//! SKTP `IngestTrees` payload and decodes frames with the wire decoder at
+//! recovery, so the batch format has one encoder and one decoder, both in
+//! `sketchtree_server::wire`.
+//!
 //! # On-disk format
 //!
 //! ```text
@@ -20,8 +26,7 @@
 //! (IEEE) of the payload, and `seq` is a strictly increasing batch
 //! sequence number — the replay cursor that snapshots record so
 //! recovery knows which frames are already folded in.  `batch` is the
-//! [`encode_batch`] serialization of the batch-local label names plus
-//! the trees, mirroring the wire protocol's `IngestTrees` shape.
+//! caller's bytes, stored as given ([`Frame::batch`] returns them).
 //!
 //! # Torn tails are normal
 //!
@@ -50,9 +55,6 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use sketchtree_tree::label::Label;
-use sketchtree_tree::tree::{Tree, TreeBuilder};
-
 /// File magic: identifies a SketchTree write-ahead log.
 pub const MAGIC: &[u8; 4] = b"SKWL";
 /// Current file format version.
@@ -65,10 +67,6 @@ pub const FRAME_HEADER_LEN: u64 = 8;
 /// this is treated as a torn tail (garbage header), not an allocation
 /// request.
 pub const MAX_PAYLOAD: u32 = 256 << 20;
-
-/// Node-count bound per tree in [`decode_batch`], matching the wire
-/// protocol's guard against hostile length fields.
-const MAX_NODES: usize = 1 << 24;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE 802.3), table-driven.  The offline build has no crc
@@ -111,9 +109,8 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 pub enum WalError {
     /// Underlying filesystem failure.
     Io(io::Error),
-    /// The file is structurally not a WAL (wrong magic / version), or a
-    /// batch payload that passed its CRC still failed to decode — both
-    /// indicate a bug or foreign file, never a torn write.
+    /// The file is structurally not a WAL (wrong magic / version) — a
+    /// foreign file, never a torn write.
     Corrupt(&'static str),
 }
 
@@ -151,7 +148,8 @@ impl From<WalError> for io::Error {
 pub struct Frame {
     /// Batch sequence number (strictly increasing within a file).
     pub seq: u64,
-    /// Batch payload bytes (seq stripped) — feed to [`decode_batch`].
+    /// The bytes given to [`Wal::append`] (the payload with its seq
+    /// stripped).
     pub batch: Vec<u8>,
     /// Byte offset of this frame's header in the file.
     pub offset: u64,
@@ -415,8 +413,8 @@ impl Wal {
 
     /// Truncates the file to `offset` bytes (must be a frame boundary
     /// at or past the header), discarding later frames.  Used when a
-    /// CRC-valid frame fails batch decoding — everything from it on is
-    /// unusable.
+    /// CRC-valid frame fails the caller's decoding — everything from it
+    /// on is unusable.
     pub fn truncate_to(&mut self, offset: u64) -> io::Result<()> {
         let offset = offset.max(HEADER_LEN);
         self.file.set_len(offset)?;
@@ -471,143 +469,6 @@ pub fn fsync_parent_dir(path: &Path) -> io::Result<()> {
     File::open(parent)?.sync_all()
 }
 
-// ---------------------------------------------------------------------------
-// Batch codec: batch-local label names + trees, the same shape as the
-// wire protocol's IngestTrees so both ingest opcodes log losslessly.
-
-fn put_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Serializes one ingest batch (batch-local label names plus trees
-/// whose labels index into `labels`) into a WAL frame payload.
-///
-/// Returns an error instead of truncating if any count exceeds `u32`
-/// (the codec's field width).  Generic over the label representation so
-/// the server's zero-copy ingest path can log borrowed `&str` names
-/// without first materializing owned `String`s.
-pub fn encode_batch<S: AsRef<str>>(labels: &[S], trees: &[Tree]) -> Result<Vec<u8>, WalError> {
-    let mut out = Vec::new();
-    let nlabels =
-        u32::try_from(labels.len()).map_err(|_| WalError::Corrupt("too many labels"))?;
-    put_u32(&mut out, nlabels);
-    for l in labels {
-        let l = l.as_ref();
-        let len = u32::try_from(l.len()).map_err(|_| WalError::Corrupt("label too long"))?;
-        put_u32(&mut out, len);
-        out.extend_from_slice(l.as_bytes());
-    }
-    let ntrees = u32::try_from(trees.len()).map_err(|_| WalError::Corrupt("too many trees"))?;
-    put_u32(&mut out, ntrees);
-    for tree in trees {
-        let n = u32::try_from(tree.len()).map_err(|_| WalError::Corrupt("tree too large"))?;
-        put_u32(&mut out, n);
-        for id in tree.preorder() {
-            put_u32(&mut out, tree.label(id).0);
-            let fanout = u32::try_from(tree.children(id).len())
-                .map_err(|_| WalError::Corrupt("fanout too large"))?;
-            put_u32(&mut out, fanout);
-        }
-    }
-    Ok(out)
-}
-
-struct Cursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn u32(&mut self) -> Result<u32, WalError> {
-        let v = le_u32(self.bytes, self.pos).ok_or(WalError::Corrupt("truncated batch"))?;
-        self.pos += 4;
-        Ok(v)
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8], WalError> {
-        let end = self.pos.checked_add(n).ok_or(WalError::Corrupt("truncated batch"))?;
-        let s = self.bytes.get(self.pos..end).ok_or(WalError::Corrupt("truncated batch"))?;
-        self.pos = end;
-        Ok(s)
-    }
-}
-
-/// Decodes a frame payload produced by [`encode_batch`] back into
-/// batch-local label names and trees.  Validates label indices, tree
-/// shape, and length plausibility — a CRC-valid frame that fails here
-/// is a codec bug or foreign data, and recovery treats it like a torn
-/// tail (truncate and continue) rather than refusing to start.
-pub fn decode_batch(bytes: &[u8]) -> Result<(Vec<String>, Vec<Tree>), WalError> {
-    let mut c = Cursor { bytes, pos: 0 };
-    let nlabels = c.u32()? as usize;
-    // Each label needs at least its 4-byte length field.
-    if nlabels > bytes.len() / 4 {
-        return Err(WalError::Corrupt("implausible label count"));
-    }
-    let mut labels = Vec::with_capacity(nlabels);
-    for _ in 0..nlabels {
-        let len = c.u32()? as usize;
-        let raw = c.take(len)?;
-        let s = std::str::from_utf8(raw).map_err(|_| WalError::Corrupt("label not utf-8"))?;
-        labels.push(s.to_string());
-    }
-    let label_count = u32::try_from(labels.len()).map_err(|_| WalError::Corrupt("too many labels"))?;
-    let ntrees = c.u32()? as usize;
-    if ntrees > bytes.len() / 4 {
-        return Err(WalError::Corrupt("implausible tree count"));
-    }
-    let mut trees = Vec::with_capacity(ntrees);
-    for _ in 0..ntrees {
-        trees.push(decode_tree(&mut c, label_count)?);
-    }
-    if c.pos != bytes.len() {
-        return Err(WalError::Corrupt("trailing bytes after batch"));
-    }
-    Ok((labels, trees))
-}
-
-fn decode_tree(c: &mut Cursor<'_>, label_count: u32) -> Result<Tree, WalError> {
-    let n = c.u32()? as usize;
-    if n == 0 {
-        return Err(WalError::Corrupt("empty tree"));
-    }
-    if n > MAX_NODES || n > c.bytes.len() / 8 {
-        return Err(WalError::Corrupt("implausible node count"));
-    }
-    let mut builder = TreeBuilder::new();
-    // Stack of open nodes' remaining child slots, exactly as in the
-    // wire protocol's preorder decoder.
-    let mut remaining: Vec<u32> = Vec::new();
-    for i in 0..n {
-        if i > 0 {
-            while remaining.last() == Some(&0) {
-                builder.close().map_err(|_| WalError::Corrupt("tree shape"))?;
-                remaining.pop();
-            }
-            match remaining.last_mut() {
-                Some(slots) => *slots -= 1,
-                None => return Err(WalError::Corrupt("tree has extra root")),
-            }
-        }
-        let label = c.u32()?;
-        if label >= label_count {
-            return Err(WalError::Corrupt("label index out of range"));
-        }
-        let fanout = c.u32()?;
-        builder.open(Label(label)).map_err(|_| WalError::Corrupt("tree shape"))?;
-        remaining.push(fanout);
-    }
-    while let Some(slots) = remaining.pop() {
-        if slots != 0 {
-            return Err(WalError::Corrupt("tree fanout exceeds node count"));
-        }
-        builder.close().map_err(|_| WalError::Corrupt("tree shape"))?;
-    }
-    builder.finish().map_err(|_| WalError::Corrupt("tree shape"))
-}
-
-// ---------------------------------------------------------------------------
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -618,14 +479,10 @@ mod tests {
         p
     }
 
-    fn leaf(l: u32) -> Tree {
-        Tree::leaf(Label(l))
-    }
-
+    /// An opaque payload whose length and bytes vary with `n` (the log
+    /// never looks inside).
     fn batch(n: u32) -> Vec<u8> {
-        let labels: Vec<String> = (0..=n).map(|i| format!("l{i}")).collect();
-        let trees = vec![Tree::node(Label(0), vec![leaf(n)]), leaf(n % 2)];
-        encode_batch(&labels, &trees).expect("encode")
+        (0..=n).flat_map(|i| format!("batch {n} part {i};").into_bytes()).collect()
     }
 
     #[test]
@@ -653,9 +510,6 @@ mod tests {
         assert_eq!(s.last_seq(), 5);
         for (i, f) in s.frames.iter().enumerate() {
             assert_eq!(f.batch, batch(i as u32));
-            let (labels, trees) = decode_batch(&f.batch).expect("decode");
-            assert_eq!(labels.len(), i + 1);
-            assert_eq!(trees.len(), 2);
         }
         std::fs::remove_file(&path).ok();
     }
@@ -810,43 +664,6 @@ mod tests {
         // The foreign file is left untouched for the operator.
         assert_eq!(std::fs::read(&path).expect("read"), b"definitely not a wal");
         std::fs::remove_file(&path).ok();
-    }
-
-    #[test]
-    fn batch_codec_rejects_malformed_input() {
-        let good = batch(3);
-        assert!(decode_batch(&good).is_ok());
-        for cut in 0..good.len() {
-            assert!(decode_batch(&good[..cut]).is_err(), "cut at {cut}");
-        }
-        // Label index out of range.
-        let labels = vec!["a".to_string()];
-        let t = Tree::leaf(Label(5));
-        let bad = encode_batch(&labels, &[t]).expect("encode");
-        assert!(decode_batch(&bad).is_err());
-        // Hostile counts must not allocate.
-        let mut hostile = Vec::new();
-        put_u32(&mut hostile, u32::MAX);
-        assert!(decode_batch(&hostile).is_err());
-    }
-
-    #[test]
-    fn batch_codec_roundtrips_shapes() {
-        let labels: Vec<String> = ["article", "title", "author", ""].iter().map(|s| s.to_string()).collect();
-        let trees = vec![
-            Tree::node(
-                Label(0),
-                vec![leaf(1), Tree::node(Label(2), vec![leaf(3), leaf(1)]), leaf(2)],
-            ),
-            leaf(3),
-        ];
-        let bytes = encode_batch(&labels, &trees).expect("encode");
-        let (l2, t2) = decode_batch(&bytes).expect("decode");
-        assert_eq!(l2, labels);
-        assert_eq!(t2.len(), trees.len());
-        for (a, b) in trees.iter().zip(&t2) {
-            assert_eq!(a.to_sexpr(), b.to_sexpr());
-        }
     }
 
     #[test]

@@ -156,8 +156,20 @@ echo "==> wal-recovery (crash-injection: any truncation point, bit-identical)"
 # live), corrupt-checkpoint quarantine + rebuild-from-WAL, and the
 # end-to-end abort/restart parity drill.  All run in the sweep above;
 # naming the suite here gives a durability regression its own banner.
+# The suite also pins the log's batch format to the SKTP IngestTrees
+# payload: a log written by the WAL crate's former batch codec (a hex
+# fixture) decodes and replays byte-identically; with the log on, the
+# appended frame is the IngestTrees payload as received; and an IngestXml
+# batch past the decoder's 2^20-label cap is refused and leaves no trace,
+# with the log on and off.  The wire tests below cover the payload codec
+# itself: shapes round-trip, every truncation and hostile count is
+# refused, and the server's cap check refuses what the decoder refuses.
 cargo test --quiet -p sketchtree-server --test crash_injection
 cargo test --quiet -p sketchtree-wal --lib every_truncation_point_recovers_the_intact_prefix
+cargo test --quiet -p sketchtree-server --lib -- \
+    wire::tests::ingest_trees_payload_roundtrips_shapes \
+    wire::tests::ingest_trees_payload_rejects_malformed_input \
+    wire::tests::the_ingest_caps_refuse_what_the_decoder_refuses
 
 echo "==> workspace lint gates (L6 lock-order, L7 blocking, L8 epoch, L9 spec-drift, A0 stale allows)"
 # The graph-aware workspace rules each get a named gate so a regression

@@ -140,7 +140,7 @@ fn shared_handle_concurrent_mixed_workload() {
             let tree = tree.clone();
             std::thread::spawn(move || {
                 for _ in 0..200 {
-                    st.ingest(&tree);
+                    st.ingest_batch(std::slice::from_ref(&tree));
                 }
             })
         })

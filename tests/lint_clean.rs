@@ -118,7 +118,7 @@ fn l6_sees_the_checkpoint_take_the_ingest_wal_lock() {
             .flat_map(|f| f.acqs.iter().map(|a| a.lock.clone()))
             .collect()
     };
-    for name in ["checkpoint_inner", "ingest_through_wal"] {
+    for name in ["checkpoint_inner", "handle_ingest"] {
         let locks = locks_taken_by(name);
         assert!(locks.iter().any(|l| l == "server::wal"), "`{name}` takes {locks:?}");
     }
